@@ -41,6 +41,7 @@ import (
 	"repro/flexnet"
 	"repro/internal/netem"
 	"repro/internal/parity"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
@@ -62,17 +63,12 @@ func runParity(variant, transport, netemSpec string, n int, seed uint64, reliabl
 		sc.Netem = &p
 		sc.DistTolerance = 1.0
 	}
-	switch variant {
-	case "", "composed":
-		sc.Variant = parity.VariantComposed
-	case "flood":
-		sc.Variant = parity.VariantFlood
-	case "adaptive":
-		sc.Variant = parity.VariantAdaptive
-	case "dandelion":
-		sc.Variant = parity.VariantDandelion
-	default:
-		return fmt.Errorf("unknown -variant %q (flood|adaptive|dandelion|composed)", variant)
+	if variant != "" {
+		p, err := stack.ParseProtocol(variant)
+		if err != nil {
+			return fmt.Errorf("-variant: %w", err)
+		}
+		sc.Protocol = p
 	}
 	switch transport {
 	case "", "mem":

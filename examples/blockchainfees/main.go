@@ -19,6 +19,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/topology"
 )
 
@@ -38,40 +39,27 @@ func main() {
 	}
 	net := sim.NewNetwork(g, sim.Options{Seed: 11, Latency: sim.ConstLatency(10 * time.Millisecond)})
 
-	hashes := core.SimHashes(n)
-	inGroup := make(map[proto.NodeID]bool)
-	for _, m := range group {
-		inGroup[m] = true
+	handlers, err := stack.Spec{
+		Protocol: stack.Composed, Group: group, Hashes: core.SimHashes(n),
+		D: 3, ADInterval: 100 * time.Millisecond,
+		DCMode: dcnet.ModeFixed, DCInterval: 200 * time.Millisecond, DCPolicy: dcnet.PolicyNone,
+		Node: func(id proto.NodeID) node.Config {
+			return node.Config{
+				Mine:           miners[id],
+				DifficultyBits: 8,
+				MineInterval:   400 * time.Millisecond,
+				MineBudget:     20_000,
+			}
+		},
+	}.Factory()
+	if err != nil {
+		log.Fatal(err)
 	}
 	nodes := make([]*node.Node, n)
-	blocksSeen := 0
 	net.SetHandlers(func(id proto.NodeID) proto.Handler {
-		cfg := node.Config{
-			Core: core.Config{
-				K: len(group), D: 3, Hashes: hashes,
-				DCMode: dcnet.ModeFixed, DCSlotSize: 256,
-				DCInterval: 200 * time.Millisecond, DCPolicy: dcnet.PolicyNone,
-				ADInterval: 100 * time.Millisecond,
-			},
-			Mine:           miners[id],
-			DifficultyBits: 8,
-			MineInterval:   400 * time.Millisecond,
-			MineBudget:     20_000,
-			OnBlock: func(b *chain.Block) {
-				if id == 0 { // report once, from node 0's perspective
-					blocksSeen++
-				}
-			},
-		}
-		if inGroup[id] {
-			cfg.Core.Group = group
-		}
-		nd, err := node.New(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		nodes[id] = nd
-		return nd
+		h := handlers(id)
+		nodes[id] = h.(*node.Node)
+		return h
 	})
 	net.AddTap(feeder{nodes})
 	net.Start()

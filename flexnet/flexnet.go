@@ -25,48 +25,39 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/adversary"
 	"repro/internal/core"
-	"repro/internal/dandelion"
 	"repro/internal/dcnet"
-	"repro/internal/flood"
 	"repro/internal/group"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/topology"
 )
 
-// Protocol selects the broadcast protocol under test.
+// Protocol selects the broadcast protocol under test. Its values are
+// the internal stack's, so converting between the two is exact.
 type Protocol int
 
 // Supported protocols.
 const (
 	// ProtocolFlood is plain flood-and-prune (no privacy).
-	ProtocolFlood Protocol = iota + 1
+	ProtocolFlood = Protocol(stack.Flood)
 	// ProtocolDandelion is the stem/fluff baseline of §III-A.
-	ProtocolDandelion
+	ProtocolDandelion = Protocol(stack.Dandelion)
 	// ProtocolAdaptive is adaptive diffusion alone (no delivery
 	// guarantee, §III-A).
-	ProtocolAdaptive
+	ProtocolAdaptive = Protocol(stack.Adaptive)
 	// ProtocolFlexnet is the paper's three-phase protocol (§IV).
-	ProtocolFlexnet
+	ProtocolFlexnet = Protocol(stack.Composed)
 )
 
 // String returns the protocol name.
 func (p Protocol) String() string {
-	switch p {
-	case ProtocolFlood:
-		return "flood"
-	case ProtocolDandelion:
-		return "dandelion"
-	case ProtocolAdaptive:
-		return "adaptive"
-	case ProtocolFlexnet:
+	if p == ProtocolFlexnet {
 		return "flexnet"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
 	}
+	return stack.Protocol(p).String()
 }
 
 // Topology selects the overlay family for Simulate.
@@ -111,7 +102,7 @@ type SimConfig struct {
 	// typical transaction size).
 	Payload []byte
 	// AdversaryFraction corrupts this fraction of nodes as passive
-	// observers (0 disables the attack analysis).
+	// observers; it must lie in [0,1) (0 disables the attack analysis).
 	AdversaryFraction float64
 	// LatencyMs is the constant per-hop latency (default 50 ms).
 	LatencyMs int
@@ -159,11 +150,15 @@ type SimResult struct {
 	Originator int32
 	GroupSize  int
 	// TotalMessages counts every protocol message sent; PhaseMessages
-	// breaks them down by protocol family name.
+	// breaks them down by phase: "dcnet", "adaptive", "flood", "stem",
+	// and the auxiliary "group", "chain", "relchan" and "workload".
 	TotalMessages int64
 	PhaseMessages map[string]int64
 	// TimeToCoverage is the virtual time until the last delivery.
 	TimeToCoverage time.Duration
+	// DeliveryTimes is each node's first-delivery time since
+	// origination, indexed by node ID; -1 marks an undelivered node.
+	DeliveryTimes []time.Duration
 	// Adversary outcomes (when AdversaryFraction > 0): FirstSpy point
 	// estimate, whether it hit, and the k-anonymity suspect-set size the
 	// group attack achieves against flexnet (0 otherwise).
@@ -176,6 +171,9 @@ type SimResult struct {
 // Simulate runs one broadcast and reports the outcome.
 func Simulate(cfg SimConfig) (*SimResult, error) {
 	cfg.applyDefaults()
+	if !(cfg.AdversaryFraction >= 0 && cfg.AdversaryFraction < 1) {
+		return nil, fmt.Errorf("flexnet: AdversaryFraction %v outside [0,1)", cfg.AdversaryFraction)
+	}
 	topoRNG := rand.New(rand.NewPCG(cfg.Seed+1, 0x51ed2701))
 	g, err := buildTopology(cfg, topoRNG)
 	if err != nil {
@@ -198,6 +196,10 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	var obs *adversary.Observer
 	if cfg.AdversaryFraction > 0 {
 		corrupted := adversary.SampleCorrupted(cfg.N, cfg.AdversaryFraction, runRNG)
+		if len(corrupted) == cfg.N {
+			return nil, fmt.Errorf("flexnet: AdversaryFraction %v corrupts all %d nodes, leaving no honest originator",
+				cfg.AdversaryFraction, cfg.N)
+		}
 		obs = adversary.NewObserver(corrupted)
 	}
 
@@ -228,6 +230,22 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 		members = dir.Group(gids[0]).Members
 	}
 
+	spec := stack.Spec{
+		Protocol: stack.Protocol(cfg.Protocol), Group: members, Hashes: core.SimHashes(cfg.N),
+		D: cfg.D, ADInterval: 500 * time.Millisecond, TreeDegree: cfg.Degree, Q: cfg.Q,
+		DCMode: dcnet.ModeFixed, DCSlotSize: len(payload) + dcnet.SlotOverhead,
+		DCInterval: 2 * time.Second, DCPolicy: dcnet.PolicyNone,
+	}
+	if cfg.Protocol == ProtocolDandelion {
+		// Dandelion's recommended fail-safe; the composed protocol runs
+		// strict, with no coverage-first recovery.
+		spec.FailSafe = 30 * time.Second
+	}
+	handlers, err := spec.Factory()
+	if err != nil {
+		return nil, fmt.Errorf("flexnet: %w", err)
+	}
+
 	net := sim.NewNetwork(g, sim.Options{
 		Seed:    cfg.Seed,
 		Latency: sim.ConstLatency(time.Duration(cfg.LatencyMs) * time.Millisecond),
@@ -235,41 +253,7 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	if obs != nil {
 		net.AddTap(obs)
 	}
-
-	hashes := core.SimHashes(cfg.N)
-	inGroup := make(map[proto.NodeID]bool, len(members))
-	for _, m := range members {
-		inGroup[m] = true
-	}
-	net.SetHandlers(func(id proto.NodeID) proto.Handler {
-		switch cfg.Protocol {
-		case ProtocolFlood:
-			return flood.New()
-		case ProtocolDandelion:
-			return dandelion.New(dandelion.Config{Q: cfg.Q, FailSafe: 30 * time.Second})
-		case ProtocolAdaptive:
-			return adaptive.New(adaptive.Config{D: cfg.D, RoundInterval: 500 * time.Millisecond, TreeDegree: cfg.Degree})
-		default:
-			c := core.Config{
-				K: cfg.K, D: cfg.D,
-				Hashes:     hashes,
-				DCMode:     dcnet.ModeFixed,
-				DCSlotSize: len(payload) + dcnet.SlotOverhead,
-				DCInterval: 2 * time.Second,
-				DCPolicy:   dcnet.PolicyNone,
-				ADInterval: 500 * time.Millisecond,
-				TreeDegree: cfg.Degree,
-			}
-			if inGroup[id] {
-				c.Group = members
-			}
-			p, err := core.New(c)
-			if err != nil {
-				panic(fmt.Sprintf("flexnet: building node %d: %v", id, err))
-			}
-			return p
-		}
-	})
+	net.SetHandlers(handlers)
 	net.Start()
 	id, err := net.Originate(origin, payload)
 	if err != nil {
@@ -285,19 +269,18 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 		Originator:    int32(origin),
 		GroupSize:     len(members),
 		TotalMessages: net.TotalMessages(),
-		PhaseMessages: map[string]int64{
-			"dcnet": net.MessagesOfType(dcnet.TypeShare) + net.MessagesOfType(dcnet.TypeSPartial) +
-				net.MessagesOfType(dcnet.TypeTPartial) + net.MessagesOfType(dcnet.TypeCommit),
-			"adaptive": net.MessagesOfType(adaptive.TypeInfect) + net.MessagesOfType(adaptive.TypeExtend) +
-				net.MessagesOfType(adaptive.TypeToken) + net.MessagesOfType(adaptive.TypeFinal),
-			"flood": net.MessagesOfType(flood.TypeData),
-			"stem":  net.MessagesOfType(dandelion.TypeStem),
-		},
+		PhaseMessages: make(map[string]int64),
+		DeliveryTimes: make([]time.Duration, cfg.N),
 	}
-	for _, at := range net.Deliveries(id).All() {
-		if at > res.TimeToCoverage {
-			res.TimeToCoverage = at
-		}
+	for _, wt := range stack.WireTypes() {
+		res.PhaseMessages[wt.Phase.Key()] += net.MessagesOfType(wt.Type)
+	}
+	for i := range res.DeliveryTimes {
+		res.DeliveryTimes[i] = -1
+	}
+	for node, at := range net.Deliveries(id).All() {
+		res.DeliveryTimes[node] = at
+		res.TimeToCoverage = max(res.TimeToCoverage, at)
 	}
 
 	if obs != nil {
@@ -351,93 +334,6 @@ func runUntilSettled(net *sim.Network, id proto.MsgID, n int, deadline time.Dura
 			last = cur
 		}
 	}
-}
-
-// SimulateWithDeliveryTimes runs one broadcast like Simulate and returns
-// each node's first-delivery time (virtual time since origination). The
-// experiment harness uses these profiles for the miner-fairness lottery
-// (E10).
-func SimulateWithDeliveryTimes(cfg SimConfig) (map[int32]time.Duration, error) {
-	cfg.applyDefaults()
-	topoRNG := rand.New(rand.NewPCG(cfg.Seed+1, 0x51ed2701))
-	g, err := buildTopology(cfg, topoRNG)
-	if err != nil {
-		return nil, err
-	}
-	runRNG := rand.New(rand.NewPCG(cfg.Seed, 0xabcdef12))
-	payload := cfg.Payload
-	if payload == nil {
-		payload = make([]byte, 250)
-		for i := range payload {
-			payload[i] = byte(runRNG.Uint32())
-		}
-	}
-	origin := proto.NodeID(runRNG.IntN(cfg.N))
-
-	var members []proto.NodeID
-	if cfg.Protocol == ProtocolFlexnet {
-		dir, err := group.NewDirectory(cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range runRNG.Perm(cfg.N) {
-			if err := dir.Join(proto.NodeID(v), runRNG); err != nil {
-				return nil, err
-			}
-		}
-		gids := dir.GroupsOf(origin)
-		if len(gids) == 0 {
-			return nil, errors.New("flexnet: originator not placed")
-		}
-		members = dir.Group(gids[0]).Members
-	}
-
-	net := sim.NewNetwork(g, sim.Options{
-		Seed:    cfg.Seed,
-		Latency: sim.ConstLatency(time.Duration(cfg.LatencyMs) * time.Millisecond),
-	})
-	hashes := core.SimHashes(cfg.N)
-	inGroup := make(map[proto.NodeID]bool, len(members))
-	for _, m := range members {
-		inGroup[m] = true
-	}
-	net.SetHandlers(func(id proto.NodeID) proto.Handler {
-		switch cfg.Protocol {
-		case ProtocolFlood:
-			return flood.New()
-		case ProtocolDandelion:
-			return dandelion.New(dandelion.Config{Q: cfg.Q, FailSafe: 30 * time.Second})
-		case ProtocolAdaptive:
-			return adaptive.New(adaptive.Config{D: cfg.D, RoundInterval: 500 * time.Millisecond, TreeDegree: cfg.Degree})
-		default:
-			c := core.Config{
-				K: cfg.K, D: cfg.D, Hashes: hashes,
-				DCMode: dcnet.ModeFixed, DCSlotSize: len(payload) + dcnet.SlotOverhead,
-				DCInterval: 2 * time.Second, DCPolicy: dcnet.PolicyNone,
-				ADInterval: 500 * time.Millisecond, TreeDegree: cfg.Degree,
-			}
-			if inGroup[id] {
-				c.Group = members
-			}
-			p, err := core.New(c)
-			if err != nil {
-				panic(err)
-			}
-			return p
-		}
-	})
-	net.Start()
-	id, err := net.Originate(origin, payload)
-	if err != nil {
-		return nil, err
-	}
-	runUntilSettled(net, id, cfg.N, cfg.MaxDuration)
-
-	out := make(map[int32]time.Duration, cfg.N)
-	for nodeID, at := range net.Deliveries(id).All() {
-		out[int32(nodeID)] = at
-	}
-	return out, nil
 }
 
 func buildTopology(cfg SimConfig, rng *rand.Rand) (*topology.Graph, error) {

@@ -2,6 +2,8 @@ package flexnet
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -23,6 +25,34 @@ func TestSimulateFlood(t *testing.T) {
 	}
 	if res.TimeToCoverage == 0 {
 		t.Error("no coverage time recorded")
+	}
+	var last time.Duration
+	for node, at := range res.DeliveryTimes {
+		if at < 0 {
+			t.Errorf("node %d has no delivery time", node)
+		}
+		last = max(last, at)
+	}
+	if len(res.DeliveryTimes) != 100 || last != res.TimeToCoverage {
+		t.Errorf("DeliveryTimes: %d entries, last %v; want 100, %v", len(res.DeliveryTimes), last, res.TimeToCoverage)
+	}
+}
+
+// TestPhaseMessagesSumToTotal requires the per-phase breakdown to
+// account for every message each protocol sends.
+func TestPhaseMessagesSumToTotal(t *testing.T) {
+	for _, p := range []Protocol{ProtocolFlood, ProtocolDandelion, ProtocolAdaptive, ProtocolFlexnet} {
+		res, err := Simulate(SimConfig{N: 200, Degree: 8, Protocol: p, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for _, n := range res.PhaseMessages {
+			sum += n
+		}
+		if sum != res.TotalMessages || sum == 0 {
+			t.Errorf("%v: phases sum to %d of %d messages", p, sum, res.TotalMessages)
+		}
 	}
 }
 
@@ -118,6 +148,38 @@ func TestSimulateTopologies(t *testing.T) {
 		}
 		if res.Delivered != 60 {
 			t.Errorf("topology %d: delivered %d/60", topo, res.Delivered)
+		}
+	}
+}
+
+// TestSimulateRejectsBadAdversaryFraction requires an error for every
+// adversary fraction outside [0,1): 1.0 (and anything close enough to
+// round up to every node) leaves no honest originator to draw, 1.5
+// overruns the node permutation, and a negative or NaN fraction would
+// silently disable the attack. Each call runs under a deadline because
+// the all-corrupted case used to loop forever.
+func TestSimulateRejectsBadAdversaryFraction(t *testing.T) {
+	for _, f := range []float64{-0.5, 1.0, 1.5, math.NaN(), 1 - 1e-12} {
+		done := make(chan string, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					done <- fmt.Sprintf("panicked: %v", r)
+				}
+			}()
+			if _, err := Simulate(SimConfig{N: 50, Degree: 4, Protocol: ProtocolFlood, Seed: 1, AdversaryFraction: f}); err == nil {
+				done <- "accepted"
+				return
+			}
+			done <- ""
+		}()
+		select {
+		case got := <-done:
+			if got != "" {
+				t.Errorf("AdversaryFraction %v: %s, want an error", f, got)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("AdversaryFraction %v: Simulate did not return", f)
 		}
 	}
 }

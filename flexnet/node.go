@@ -6,20 +6,14 @@ import (
 	"time"
 
 	"repro/internal/chain"
-	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/dcnet"
-	"repro/internal/group"
 	"repro/internal/node"
 	"repro/internal/proto"
-	"repro/internal/relchan"
+	"repro/internal/stack"
 	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/workload"
-
-	"repro/internal/adaptive"
-	"repro/internal/dandelion"
-	"repro/internal/flood"
 )
 
 // NodeConfig parametrizes a real TCP node.
@@ -80,35 +74,11 @@ type Node struct {
 
 // NewCodec returns a codec with every protocol message registered — the
 // full wire surface of a node.
-func NewCodec() *wire.Codec {
-	c := wire.NewCodec()
-	flood.RegisterMessages(c)
-	adaptive.RegisterMessages(c)
-	dcnet.RegisterMessages(c)
-	dandelion.RegisterMessages(c)
-	relchan.RegisterMessages(c)
-	group.RegisterMessages(c)
-	node.RegisterMessages(c)
-	workload.RegisterMessages(c)
-	return c
-}
+func NewCodec() *wire.Codec { return stack.Codec() }
 
 // StartNode launches a node: it listens immediately and starts its
 // protocol loops.
 func StartNode(cfg NodeConfig) (*Node, error) {
-	if cfg.K == 0 {
-		cfg.K = 5
-	}
-	if cfg.D == 0 {
-		cfg.D = 4
-	}
-	if cfg.DCInterval <= 0 {
-		cfg.DCInterval = 2 * time.Second
-	}
-	if cfg.DifficultyBits == 0 {
-		cfg.DifficultyBits = 16
-	}
-
 	hashes := make(map[proto.NodeID][32]byte, len(cfg.IdentitySeeds))
 	for id, seed := range cfg.IdentitySeeds {
 		hashes[proto.NodeID(id)] = crypto.IdentityFromSeed(seed).Hash()
@@ -118,31 +88,29 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		groupIDs = append(groupIDs, proto.NodeID(m))
 	}
 
-	n := &Node{}
-	inner, err := node.New(node.Config{
-		Core: core.Config{
-			K: cfg.K, D: cfg.D,
-			Group:      groupIDs,
-			Hashes:     hashes,
-			DCInterval: cfg.DCInterval,
-			DCMode:     dcnet.ModeAnnounce,
-			DCPolicy:   dcnet.PolicyDissolve,
-			FailSafe:   cfg.FailSafe,
-		},
-		Mine:           cfg.Mine,
-		DifficultyBits: cfg.DifficultyBits,
-		Admission:      cfg.Admission,
-		SubmitService:  cfg.SubmitService,
-		OnBlock: func(b *chain.Block) {
-			if cfg.OnBlock != nil {
-				cfg.OnBlock(b.Height, len(b.Txs), int32(b.Miner))
+	handlers, err := stack.Spec{
+		Protocol: stack.Composed, Group: groupIDs, Hashes: hashes,
+		D: cfg.D, DCInterval: cfg.DCInterval,
+		DCMode: dcnet.ModeAnnounce, DCPolicy: dcnet.PolicyDissolve, FailSafe: cfg.FailSafe,
+		Node: func(proto.NodeID) node.Config {
+			return node.Config{
+				Mine:           cfg.Mine,
+				DifficultyBits: cfg.DifficultyBits,
+				Admission:      cfg.Admission,
+				SubmitService:  cfg.SubmitService,
+				OnBlock: func(b *chain.Block) {
+					if cfg.OnBlock != nil {
+						cfg.OnBlock(b.Height, len(b.Txs), int32(b.Miner))
+					}
+				},
 			}
 		},
-	})
+	}.Factory()
 	if err != nil {
 		return nil, fmt.Errorf("flexnet: %w", err)
 	}
-	n.inner = inner
+	inner := handlers(proto.NodeID(cfg.ID)).(*node.Node)
+	n := &Node{inner: inner}
 
 	addrBook := make(map[proto.NodeID]string, len(cfg.AddrBook))
 	for id, addr := range cfg.AddrBook {

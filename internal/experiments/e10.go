@@ -54,15 +54,15 @@ func E10MinerFairness(sc Scenario) *metrics.Table {
 		// the expensive part — and run through the worker pool; the fee
 		// lottery below consumes one shared RNG stream and stays
 		// sequential.
-		profs := runner.Map(profileCount, sc.Par, func(i int) map[int32]time.Duration {
-			prof, err := flexnet.SimulateWithDeliveryTimes(flexnet.SimConfig{
+		profs := runner.Map(profileCount, sc.Par, func(i int) []time.Duration {
+			res, err := flexnet.Simulate(flexnet.SimConfig{
 				N: n, Degree: deg, Protocol: pr.p, K: pr.k, D: 4,
 				Seed: uint64(i + 1),
 			})
 			if err != nil {
 				panic(err)
 			}
-			return prof
+			return res.DeliveryTimes
 		})
 		for _, interval := range intervals {
 			fees := make(map[proto.NodeID]uint64)
@@ -74,7 +74,7 @@ func E10MinerFairness(sc Scenario) *metrics.Table {
 			horizon := time.Duration(blocksTarget) * interval
 			type tx struct {
 				born    time.Duration
-				profile map[int32]time.Duration
+				profile []time.Duration
 				fee     uint64
 				done    bool
 			}
@@ -93,8 +93,8 @@ func E10MinerFairness(sc Scenario) *metrics.Table {
 					if x.done || x.born > at {
 						continue
 					}
-					arrival, ok := x.profile[winner]
-					if !ok {
+					arrival := x.profile[winner]
+					if arrival < 0 {
 						continue
 					}
 					if x.born+arrival <= at {

@@ -3,20 +3,18 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/dcnet"
-	"repro/internal/flood"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/stack"
 )
 
-// phaseTracer records per-family first/last send times and counts.
+// phaseTracer records per-phase first/last send times and counts.
 type phaseTracer struct {
-	stats map[string]*phaseStat
-	net   *sim.Network
+	stats map[stack.Phase]*phaseStat
 }
 
 type phaseStat struct {
@@ -25,21 +23,11 @@ type phaseStat struct {
 }
 
 func (p *phaseTracer) OnSend(at time.Duration, _, _ proto.NodeID, msg proto.Message) {
-	var family string
-	switch msg.Type() & 0xff00 {
-	case proto.RangeDCNet:
-		family = "phase 1: dc-net"
-	case proto.RangeAdaptive:
-		family = "phase 2: adaptive diffusion"
-	case proto.RangeFlood:
-		family = "phase 3: flood-and-prune"
-	default:
-		return
-	}
-	s := p.stats[family]
+	phase := stack.PhaseOf(msg.Type())
+	s := p.stats[phase]
 	if s == nil {
 		s = &phaseStat{first: at}
-		p.stats[family] = s
+		p.stats[phase] = s
 	}
 	s.last = at
 	s.count++
@@ -55,36 +43,26 @@ func (*phaseTracer) OnDeliverLocal(time.Duration, proto.NodeID, proto.MsgID, []b
 // E12 is a single trace, not a trial family; it runs sequentially and
 // ignores the scenario's size and parallelism knobs.
 func E12PhaseTrace(sc Scenario) *metrics.Table {
-	const n, deg, k, d = 100, 6, 3, 2 // Fig. 5 uses k=3, d=2
+	const n, deg, d = 100, 6, 2 // Fig. 5 uses k=3 (the group below), d=2
 	t := metrics.NewTable(
 		"E12 — one broadcast through the three phases (N=100, k=3, d=2; Fig. 5 parameters)",
 		"phase", "first msg", "last msg", "messages", "coverage at phase end",
 	)
 	g := regular(n, deg, 5)
-	hashes := core.SimHashes(n)
-	group := []proto.NodeID{10, 40, 70}
-	inGroup := map[proto.NodeID]bool{10: true, 40: true, 70: true}
+	handlers, err := stack.Spec{
+		Protocol: stack.Composed, Group: []proto.NodeID{10, 40, 70}, Hashes: core.SimHashes(n),
+		D: d, ADInterval: 200 * time.Millisecond, TreeDegree: deg,
+		DCMode: dcnet.ModeFixed, DCSlotSize: 300,
+		DCInterval: 500 * time.Millisecond, DCPolicy: dcnet.PolicyNone,
+	}.Factory()
+	if err != nil {
+		panic(err)
+	}
 
-	tracer := &phaseTracer{stats: make(map[string]*phaseStat)}
+	tracer := &phaseTracer{stats: make(map[stack.Phase]*phaseStat)}
 	net := sim.NewNetwork(g, sc.netOptions(3, netem.Metro))
-	tracer.net = net
 	net.AddTap(tracer)
-	net.SetHandlers(func(id proto.NodeID) proto.Handler {
-		cfg := core.Config{
-			K: k, D: d, Hashes: hashes,
-			DCMode: dcnet.ModeFixed, DCSlotSize: 300,
-			DCInterval: 500 * time.Millisecond, DCPolicy: dcnet.PolicyNone,
-			ADInterval: 200 * time.Millisecond, TreeDegree: deg,
-		}
-		if inGroup[id] {
-			cfg.Group = group
-		}
-		p, err := core.New(cfg)
-		if err != nil {
-			panic(err)
-		}
-		return p
-	})
+	net.SetHandlers(handlers)
 	net.Start()
 	id, err := net.Originate(40, []byte("figure-5 trace"))
 	if err != nil {
@@ -105,24 +83,17 @@ func E12PhaseTrace(sc Scenario) *metrics.Table {
 		}
 		return c
 	}
-	order := []string{"phase 1: dc-net", "phase 2: adaptive diffusion", "phase 3: flood-and-prune"}
 	var total int64
-	for _, fam := range order {
-		st := tracer.stats[fam]
+	for _, phase := range []stack.Phase{stack.PhaseDCNet, stack.PhaseAdaptive, stack.PhaseFlood} {
+		st := tracer.stats[phase]
 		if st == nil {
-			t.AddRow(fam, "-", "-", 0, 0)
+			t.AddRow(phase.String(), "-", "-", 0, 0)
 			continue
 		}
 		total += st.count
-		t.AddRow(fam, fmtDuration(st.first), fmtDuration(st.last), st.count, coverageBy(st.last))
+		t.AddRow(phase.String(), fmtDuration(st.first), fmtDuration(st.last), st.count, coverageBy(st.last))
 	}
 	t.AddRow("total", "-", "-", total, net.Delivered(id))
 	t.AddNote("phase 1 runs periodically; its count includes idle DC-net rounds around the broadcast")
 	return t
 }
-
-// Interface-compliance pins for the message families the tracer matches.
-var (
-	_ = flood.TypeData
-	_ = adaptive.TypeInfect
-)

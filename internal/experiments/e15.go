@@ -9,13 +9,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/dandelion"
 	"repro/internal/dcnet"
-	"repro/internal/flood"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/topology"
+	"repro/internal/stack"
 )
 
 // e15Horizon bounds each robustness run's virtual time: far past every
@@ -47,58 +46,45 @@ func e15Condition(name string, loss, churn float64) netem.Profile {
 	return p
 }
 
-// protocolStack builds the handler factory for one of the four
-// protocol stacks of the robustness and anonymity sweeps. E15 and E16
-// share it so both experiments measure exactly the same protocol
-// configurations — E15 their coverage under impairment, E16 the
-// anonymity they buy under the same conditions.
-func protocolStack(name string, deg int, hashes map[proto.NodeID][32]byte, group []proto.NodeID, inGroup map[proto.NodeID]bool) func(id proto.NodeID) proto.Handler {
-	switch name {
-	case "flood":
-		return func(proto.NodeID) proto.Handler {
-			return flood.New()
-		}
-	case "adaptive":
-		return func(proto.NodeID) proto.Handler {
-			return adaptive.New(adaptive.Config{D: 4, RoundInterval: 250 * time.Millisecond, TreeDegree: deg})
-		}
-	case "dandelion":
-		return func(proto.NodeID) proto.Handler {
-			return dandelion.New(dandelion.Config{Q: 0.25, Epoch: time.Hour, FailSafe: 2 * time.Second})
-		}
-	case "composed":
-		return func(id proto.NodeID) proto.Handler {
-			cfg := core.Config{
-				K: len(group), D: 4, Hashes: hashes,
-				DCMode: dcnet.ModeAnnounce, DCInterval: 250 * time.Millisecond,
-				DCPolicy: dcnet.PolicyNone, DCMaxRounds: 16,
-				ADInterval: 250 * time.Millisecond, TreeDegree: deg,
-				// The loss-tolerance stack under test: ack/retransmit
-				// sized to the 50–70 ms links (RTO > worst-case RTT),
-				// eviction after 2 silent rounds down to a floor of 3,
-				// and the 2 s fail-safe flood. The stall timeout leaves
-				// room for a full retry chain (RetryBudget·RTO plus a
-				// link delay), so a round being repaired is not
-				// abandoned mid-retransmission at high loss.
-				DCRetransmitTimeout: 150 * time.Millisecond,
-				DCRetryBudget:       3,
-				DCTimeout:           600 * time.Millisecond,
-				DCEvictAfter:        2,
-				DCFloor:             3,
-				FailSafe:            2 * time.Second,
-			}
-			if inGroup[id] {
-				cfg.Group = group
-			}
-			p, err := core.New(cfg)
-			if err != nil {
-				panic(fmt.Sprintf("protocolStack: building node %d: %v", id, err))
-			}
-			return p
-		}
-	default:
-		panic("protocolStack: unknown protocol " + name)
+// sweepGroup is the composed stack's DC-net group in the E15–E17
+// sweeps: k=4 members evenly spaced over the n nodes.
+func sweepGroup(n int) []proto.NodeID {
+	const k = 4
+	group := make([]proto.NodeID, k)
+	for i := range group {
+		group[i] = proto.NodeID(i * (n / k))
 	}
+	return group
+}
+
+// sweepStack builds the handler factory for one of the four protocol
+// stacks of the robustness, anonymity and throughput sweeps. E15–E17
+// share it so they measure exactly the same protocol configurations —
+// E15 their coverage under impairment, E16 the anonymity they buy under
+// the same conditions, E17 both under sustained load.
+func sweepStack(p stack.Protocol, n, deg int) func(id proto.NodeID) proto.Handler {
+	spec := stack.Spec{
+		Protocol: p, Group: sweepGroup(n), Hashes: core.SimHashes(n),
+		D: 4, ADInterval: 250 * time.Millisecond, TreeDegree: deg, Q: 0.25,
+		DCMode: dcnet.ModeAnnounce, DCInterval: 250 * time.Millisecond,
+		DCRounds: 16, DCPolicy: dcnet.PolicyNone,
+		FailSafe: 2 * time.Second,
+	}
+	if p == stack.Composed {
+		// The loss-tolerance stack under test: ack/retransmit sized to
+		// the 50–70 ms links (RTO > worst-case RTT), eviction after 2
+		// silent rounds down to a floor of 3, and the 2 s fail-safe
+		// flood. The stall timeout leaves room for a full retry chain,
+		// so a round being repaired is not abandoned mid-retransmission
+		// at high loss.
+		spec.RTO = 150 * time.Millisecond
+		spec.Failover = true
+	}
+	handlers, err := spec.Factory()
+	if err != nil {
+		panic(err)
+	}
+	return handlers
 }
 
 // e15Sample is one trial's outcome.
@@ -179,41 +165,16 @@ func E15Robustness(sc Scenario) *metrics.Table {
 		"protocol", "conditions", "trials", "coverage", "p50", "p95", "msgs/node", "drops/node", "retx", "nacks", "handoffs",
 	)
 
-	hashes := core.SimHashes(n)
-	// Composed group: K evenly spaced members, bounded DC rounds.
-	const k = 4
-	var group []proto.NodeID
-	for i := 0; i < k; i++ {
-		group = append(group, proto.NodeID(i*(n/k)))
-	}
-	inGroup := make(map[proto.NodeID]bool, k)
-	for _, m := range group {
-		inGroup[m] = true
-	}
-
-	type protoCase struct {
-		name    string
-		topo    func(seed uint64) *topology.Graph
-		handler func(id proto.NodeID) proto.Handler
-	}
-	var cases []protoCase
-	for _, name := range [...]string{"flood", "adaptive", "dandelion", "composed"} {
-		cases = append(cases, protoCase{
-			name:    name,
-			topo:    func(seed uint64) *topology.Graph { return regular(n, deg, seed) },
-			handler: protocolStack(name, deg, hashes, group, inGroup),
-		})
-	}
-
-	for _, pc := range cases {
+	for _, p := range [...]stack.Protocol{stack.Flood, stack.Adaptive, stack.Dandelion, stack.Composed} {
+		handler := sweepStack(p, n, deg)
 		for _, cond := range conds {
 			cond := cond
 			samples := runner.Map(nTrials, sc.Par, func(trial int) e15Sample {
 				seed := uint64(trial + 1)
-				net := sim.NewNetwork(pc.topo(seed), sim.Options{Seed: seed, Netem: &cond})
+				net := sim.NewNetwork(regular(n, deg, seed), sim.Options{Seed: seed, Netem: &cond})
 				handlers := make([]proto.Handler, n)
 				net.SetHandlers(func(id proto.NodeID) proto.Handler {
-					h := pc.handler(id)
+					h := handler(id)
 					handlers[id] = h
 					return h
 				})
@@ -252,7 +213,7 @@ func E15Robustness(sc Scenario) *metrics.Table {
 				pooled = append(pooled, s.deliveries...)
 			}
 			sort.Slice(pooled, func(i, j int) bool { return pooled[i] < pooled[j] })
-			t.AddRow(pc.name, cond.Name, nTrials,
+			t.AddRow(p.String(), cond.Name, nTrials,
 				fmt.Sprintf("%.4g%%", coverage.Mean()),
 				fmtDuration(metrics.DurationQuantile(pooled, 0.50)),
 				fmtDuration(metrics.DurationQuantile(pooled, 0.95)),

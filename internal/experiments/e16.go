@@ -7,12 +7,12 @@ import (
 	"time"
 
 	"repro/internal/adversary"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/stack"
 )
 
 // e16Sample is one trial's attack outcome.
@@ -52,29 +52,19 @@ type e16Cell struct {
 // N-independent by construction and re-measuring it at city scale would
 // only restate the default-N row.
 func e16Cells(n, deg int, suffix string, withComposed bool) []e16Cell {
-	hashes := core.SimHashes(n)
-	const k = 4
-	var group []proto.NodeID
-	for i := 0; i < k; i++ {
-		group = append(group, proto.NodeID(i*(n/k)))
-	}
-	inGroup := make(map[proto.NodeID]bool, k)
-	for _, m := range group {
-		inGroup[m] = true
-	}
-	names := []string{"flood", "dandelion", "adaptive"}
+	protocols := []stack.Protocol{stack.Flood, stack.Dandelion, stack.Adaptive}
 	if withComposed {
-		names = append(names, "composed")
+		protocols = append(protocols, stack.Composed)
 	}
-	cells := make([]e16Cell, 0, len(names))
-	for _, name := range names {
+	cells := make([]e16Cell, 0, len(protocols))
+	for _, p := range protocols {
 		cells = append(cells, e16Cell{
-			label:    name + suffix,
+			label:    p.String() + suffix,
 			n:        n,
 			deg:      deg,
-			composed: name == "composed",
-			handler:  protocolStack(name, deg, hashes, group, inGroup),
-			group:    group,
+			composed: p == stack.Composed,
+			handler:  sweepStack(p, n, deg),
+			group:    sweepGroup(n),
 		})
 	}
 	return cells

@@ -37,53 +37,15 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/chain"
 	"repro/internal/core"
-	"repro/internal/dandelion"
 	"repro/internal/dcnet"
-	"repro/internal/flood"
-	"repro/internal/group"
 	"repro/internal/netem"
 	"repro/internal/node"
 	"repro/internal/proto"
-	"repro/internal/relchan"
+	"repro/internal/stack"
 	"repro/internal/topology"
-	"repro/internal/wire"
-	"repro/internal/workload"
 )
-
-// Variant selects which protocol stack the scenario runs.
-type Variant int
-
-// Supported variants.
-const (
-	// VariantFlood is plain flood-and-prune.
-	VariantFlood Variant = iota + 1
-	// VariantAdaptive is adaptive diffusion alone.
-	VariantAdaptive
-	// VariantDandelion is the stem/fluff baseline.
-	VariantDandelion
-	// VariantComposed is the full three-phase protocol inside an
-	// internal/node blockchain node (miner off).
-	VariantComposed
-)
-
-// String returns the variant name.
-func (v Variant) String() string {
-	switch v {
-	case VariantFlood:
-		return "flood"
-	case VariantAdaptive:
-		return "adaptive"
-	case VariantDandelion:
-		return "dandelion"
-	case VariantComposed:
-		return "composed"
-	default:
-		return fmt.Sprintf("Variant(%d)", int(v))
-	}
-}
 
 // Transport selects the byte-stream substrate of the real run.
 type Transport int
@@ -116,8 +78,9 @@ type Fault struct {
 
 // Scenario configures one differential run.
 type Scenario struct {
-	// Variant selects the protocol stack (default VariantComposed).
-	Variant Variant
+	// Protocol selects the protocol stack (default stack.Composed, run
+	// inside an internal/node blockchain node with the miner off).
+	Protocol stack.Protocol
 	// Transport selects the real-run substrate (default TransportMem).
 	Transport Transport
 	// N is the cluster size (default 64; TCP runs default 16).
@@ -158,10 +121,12 @@ type Scenario struct {
 	// are pure functions of the seeded drop pattern (see the package
 	// comment), so the two runtimes retransmit — and count — identically.
 	Reliable bool
-	// FailSafe is the fail-safe deadline armed at each group member on
-	// Phase-1 recovery (default 2 s for reliable composed runs; it must
+	// FailSafe is the stack's fail-safe deadline (stack.Spec.FailSafe).
+	// It defaults to 2 s for reliable composed runs, where it must
 	// comfortably exceed the healthy run's full Phase 2+3 span, so that
-	// "flood arrived by the deadline" is unambiguous on both runtimes).
+	// "flood arrived by the deadline" is unambiguous on both runtimes.
+	// Otherwise it stays off: a Dandelion fail-safe fires in the
+	// simulator's virtual time but never within a wall-clock run.
 	FailSafe time.Duration
 
 	// Netem applies one network-condition profile to both runs: the sim
@@ -201,8 +166,8 @@ type Scenario struct {
 }
 
 func (sc *Scenario) applyDefaults() {
-	if sc.Variant == 0 {
-		sc.Variant = VariantComposed
+	if sc.Protocol == 0 {
+		sc.Protocol = stack.Composed
 	}
 	if sc.Transport == 0 {
 		sc.Transport = TransportMem
@@ -237,13 +202,13 @@ func (sc *Scenario) applyDefaults() {
 	if sc.Q == 0 {
 		sc.Q = 0.25
 	}
-	if sc.Reliable && sc.Variant == VariantComposed && sc.FailSafe <= 0 {
+	if sc.Reliable && sc.Protocol == stack.Composed && sc.FailSafe <= 0 {
 		sc.FailSafe = 2 * time.Second
 	}
 	if sc.Timeout <= 0 {
 		sc.Timeout = 60 * time.Second
 	}
-	if sc.Variant == VariantComposed {
+	if sc.Protocol == stack.Composed {
 		if len(sc.Group) == 0 {
 			// K members evenly spaced on the ring, well outside each
 			// other's diffusion balls.
@@ -283,7 +248,7 @@ func (sc *Scenario) validate() error {
 	if int(sc.Source) < 0 || int(sc.Source) >= sc.N {
 		return fmt.Errorf("parity: source %d outside [0,%d)", sc.Source, sc.N)
 	}
-	if sc.Variant == VariantComposed && !sc.inGroup(sc.Source) {
+	if sc.Protocol == stack.Composed && !sc.inGroup(sc.Source) {
 		return fmt.Errorf("parity: composed source %d is not a group member %v (set Scenario.Source to a member)", sc.Source, sc.Group)
 	}
 	if sc.Netem != nil {
@@ -295,7 +260,7 @@ func (sc *Scenario) validate() error {
 		}
 		switch {
 		case sc.Netem.Loss == 0:
-		case sc.Variant == VariantFlood:
+		case sc.Protocol == stack.Flood:
 			// Flood counts are arrival-order independent under per-link
 			// seeded drops: each directed link carries at most one data
 			// message.
@@ -305,7 +270,7 @@ func (sc *Scenario) validate() error {
 			// each loss — and therefore each ack, nack, and retransmission
 			// — the same pure function of the seed on both runtimes.
 		default:
-			return fmt.Errorf("parity: lossy %v runs require Scenario.Reliable — without the ack discipline a dropped message silently changes the protocol's trajectory on exactly one runtime (still rejected even with Reliable: churn profiles, which are simulator-only)", sc.Variant)
+			return fmt.Errorf("parity: lossy %v runs require Scenario.Reliable — without the ack discipline a dropped message silently changes the protocol's trajectory on exactly one runtime (still rejected even with Reliable: churn profiles, which are simulator-only)", sc.Protocol)
 		}
 	}
 	return nil
@@ -326,7 +291,7 @@ func (sc *Scenario) lossy() bool { return sc.Netem != nil && sc.Netem.Loss > 0 }
 
 // ring reports whether the scenario runs on a ring overlay.
 func (sc *Scenario) ring() bool {
-	return sc.Variant == VariantAdaptive || sc.Variant == VariantComposed
+	return sc.Protocol == stack.Adaptive || sc.Protocol == stack.Composed
 }
 
 // topo builds the scenario overlay.
@@ -346,77 +311,21 @@ func (sc *Scenario) treeDegree() int {
 	return sc.Degree
 }
 
-// newCodec registers the full message surface of every variant.
-func newCodec() *wire.Codec {
-	c := wire.NewCodec()
-	flood.RegisterMessages(c)
-	adaptive.RegisterMessages(c)
-	dcnet.RegisterMessages(c)
-	dandelion.RegisterMessages(c)
-	relchan.RegisterMessages(c)
-	group.RegisterMessages(c)
-	node.RegisterMessages(c)
-	workload.RegisterMessages(c)
-	return c
-}
-
-// handler builds the protocol handler for one node — the single factory
-// both runtimes share, so any config skew between the runs is
-// impossible by construction.
-func (sc *Scenario) handler(id proto.NodeID, hashes map[proto.NodeID][32]byte) proto.Handler {
-	switch sc.Variant {
-	case VariantFlood:
-		return flood.New()
-	case VariantAdaptive:
-		cfg := adaptive.Config{
-			D:             sc.D,
-			RoundInterval: sc.ADInterval,
-			TreeDegree:    sc.treeDegree(),
-		}
-		if sc.Reliable {
-			cfg.RetransmitTimeout = reliableRTO
-			cfg.RetryBudget = 3
-		}
-		return adaptive.New(cfg)
-	case VariantDandelion:
-		// Epoch is set beyond any run horizon so the successor graph is
-		// drawn exactly once (at Init) under both runtimes; the fail-safe
-		// stays off because virtual time reaches it in the simulator
-		// while wall-clock runs end long before it.
-		cfg := dandelion.Config{Q: sc.Q, Epoch: time.Hour, FailSafe: 0}
-		if sc.Reliable {
-			cfg.RetransmitTimeout = reliableRTO
-			cfg.RetryBudget = 3
-		}
-		return dandelion.New(cfg)
-	default:
-		cfg := node.Config{Core: core.Config{
-			K: sc.K, D: sc.D,
-			Hashes:      hashes,
-			DCMode:      dcnet.ModeAnnounce,
-			DCInterval:  sc.DCInterval,
-			DCPolicy:    dcnet.PolicyNone,
-			DCMaxRounds: sc.DCRounds,
-			ADInterval:  sc.ADInterval,
-			TreeDegree:  sc.treeDegree(),
-		}}
-		if sc.Reliable {
-			cfg.Core.DCRetransmitTimeout = reliableRTO
-			cfg.Core.DCRetryBudget = 3
-			cfg.Core.FailSafe = sc.FailSafe
-		}
-		for _, m := range sc.Group {
-			if m == id {
-				cfg.Core.Group = sc.Group
-				break
-			}
-		}
-		n, err := node.New(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("parity: building node %d: %v", id, err))
-		}
-		return n
+// factory builds the handler factory both runtimes share, so any
+// config skew between the runs is impossible by construction.
+func (sc *Scenario) factory() (func(id proto.NodeID) proto.Handler, error) {
+	spec := stack.Spec{
+		Protocol: sc.Protocol, Group: sc.Group, Hashes: core.SimHashes(sc.N),
+		D: sc.D, ADInterval: sc.ADInterval, TreeDegree: sc.treeDegree(), Q: sc.Q,
+		DCMode: dcnet.ModeAnnounce, DCInterval: sc.DCInterval,
+		DCRounds: sc.DCRounds, DCPolicy: dcnet.PolicyNone,
+		FailSafe: sc.FailSafe,
+		Node:     func(proto.NodeID) node.Config { return node.Config{} },
 	}
+	if sc.Reliable {
+		spec.RTO = reliableRTO
+	}
+	return spec.Factory()
 }
 
 // Run executes the scenario under both runtimes and returns the diff.
@@ -425,11 +334,15 @@ func Run(sc Scenario) (*Report, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
-	simAcct, err := sc.runSim()
+	handlers, err := sc.factory()
+	if err != nil {
+		return nil, fmt.Errorf("parity: %w", err)
+	}
+	simAcct, err := sc.runSim(handlers)
 	if err != nil {
 		return nil, fmt.Errorf("parity: sim run: %w", err)
 	}
-	realAcct, err := sc.runReal()
+	realAcct, err := sc.runReal(handlers)
 	if err != nil {
 		return nil, fmt.Errorf("parity: real run: %w", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/relchan"
+	"repro/internal/stack"
 )
 
 // runScenario executes one differential run and fails the test on any
@@ -38,7 +39,7 @@ func TestParityComposed(t *testing.T) {
 		t.Skip("multi-second cluster run; skipped with -short")
 	}
 	rep := runScenario(t, Scenario{
-		Variant:       VariantComposed,
+		Protocol:      stack.Composed,
 		Transport:     TransportMem,
 		N:             64,
 		WallTolerance: 60,
@@ -73,7 +74,7 @@ func TestParityComposedTCP(t *testing.T) {
 		t.Skip("multi-second cluster run; skipped with -short")
 	}
 	rep := runScenario(t, Scenario{
-		Variant:       VariantComposed,
+		Protocol:      stack.Composed,
 		Transport:     TransportTCP,
 		N:             16,
 		WallTolerance: 60,
@@ -89,7 +90,7 @@ func TestParityFlood(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster run; skipped with -short")
 	}
-	rep := runScenario(t, Scenario{Variant: VariantFlood, N: 64, Degree: 8, WallTolerance: 60})
+	rep := runScenario(t, Scenario{Protocol: stack.Flood, N: 64, Degree: 8, WallTolerance: 60})
 	want := int64(2*64*8/2 - (64 - 1))
 	if rep.Real.TotalMsgs != want {
 		t.Errorf("flood total = %d msgs, want 2E−(N−1) = %d", rep.Real.TotalMsgs, want)
@@ -103,7 +104,7 @@ func TestParityAdaptive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster run; skipped with -short")
 	}
-	rep := runScenario(t, Scenario{Variant: VariantAdaptive, N: 64, Source: 20, WallTolerance: 60})
+	rep := runScenario(t, Scenario{Protocol: stack.Adaptive, N: 64, Source: 20, WallTolerance: 60})
 	if rep.Sim.Delivered == 0 || rep.Sim.Delivered >= 64 {
 		t.Errorf("adaptive ball covered %d/64 nodes; want partial coverage", rep.Sim.Delivered)
 	}
@@ -116,7 +117,7 @@ func TestParityDandelion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster run; skipped with -short")
 	}
-	rep := runScenario(t, Scenario{Variant: VariantDandelion, N: 48, Degree: 8, Source: 7, Seed: 9, WallTolerance: 60})
+	rep := runScenario(t, Scenario{Protocol: stack.Dandelion, N: 48, Degree: 8, Source: 7, Seed: 9, WallTolerance: 60})
 	if rep.Sim.Msgs[dandelion.TypeStem] == 0 {
 		t.Error("dandelion run sent no stem messages")
 	}
@@ -141,7 +142,7 @@ func TestParityShapedMemNet(t *testing.T) {
 		Loss:    0.03,
 	}
 	rep := runScenario(t, Scenario{
-		Variant:       VariantFlood,
+		Protocol:      stack.Flood,
 		Transport:     TransportMem,
 		N:             64,
 		Degree:        8,
@@ -174,32 +175,32 @@ func TestParityShapedMemNet(t *testing.T) {
 // drops, must not be.
 func TestShapedScenarioValidation(t *testing.T) {
 	churny := netem.Churny
-	if _, err := Run(Scenario{Variant: VariantFlood, N: 8, Netem: &churny}); err == nil {
+	if _, err := Run(Scenario{Protocol: stack.Flood, N: 8, Netem: &churny}); err == nil {
 		t.Error("churn profile accepted by the parity harness")
 	}
 	lossy := netem.Lossy
 	// The churn carve-out is absolute: Reliable does not legalize it.
-	if _, err := Run(Scenario{Variant: VariantComposed, N: 8, Netem: &churny, Reliable: true}); err == nil {
+	if _, err := Run(Scenario{Protocol: stack.Composed, N: 8, Netem: &churny, Reliable: true}); err == nil {
 		t.Error("churn profile accepted with Reliable set (churn is simulator-only)")
 	}
-	for _, v := range []Variant{VariantComposed, VariantAdaptive, VariantDandelion} {
-		if _, err := Run(Scenario{Variant: v, N: 8, Netem: &lossy}); err == nil {
+	for _, v := range []stack.Protocol{stack.Composed, stack.Adaptive, stack.Dandelion} {
+		if _, err := Run(Scenario{Protocol: v, N: 8, Netem: &lossy}); err == nil {
 			t.Errorf("lossy %v scenario without the reliability layer accepted (counts are arrival-order dependent)", v)
 		}
-		ok := Scenario{Variant: v, N: 8, Netem: &lossy, Reliable: true}
+		ok := Scenario{Protocol: v, N: 8, Netem: &lossy, Reliable: true}
 		ok.applyDefaults()
 		if err := ok.validate(); err != nil {
 			t.Errorf("reliable lossy %v scenario rejected: %v", v, err)
 		}
 	}
-	ok := Scenario{Variant: VariantComposed, N: 8, Netem: &lossy, Reliable: true}
+	ok := Scenario{Protocol: stack.Composed, N: 8, Netem: &lossy, Reliable: true}
 	ok.applyDefaults()
 	if ok.FailSafe <= 0 {
 		t.Error("reliable composed scenario defaulted without a fail-safe deadline")
 	}
 	// FailSafe is a composed-stack knob; defaulting it for the other
 	// variants would only widen their settle windows for nothing.
-	ad := Scenario{Variant: VariantAdaptive, N: 8, Netem: &lossy, Reliable: true}
+	ad := Scenario{Protocol: stack.Adaptive, N: 8, Netem: &lossy, Reliable: true}
 	ad.applyDefaults()
 	if ad.FailSafe != 0 {
 		t.Errorf("reliable adaptive scenario grew a fail-safe deadline %v (composed-only knob)", ad.FailSafe)
@@ -225,7 +226,7 @@ func TestParityShapedComposed(t *testing.T) {
 		Loss:    0.05,
 	}
 	rep := runScenario(t, Scenario{
-		Variant:       VariantComposed,
+		Protocol:      stack.Composed,
 		Transport:     TransportMem,
 		N:             64,
 		Netem:         &profile,
@@ -281,7 +282,7 @@ func TestParityShapedAdaptive(t *testing.T) {
 		Loss:    0.05,
 	}
 	rep := runScenario(t, Scenario{
-		Variant:       VariantAdaptive,
+		Protocol:      stack.Adaptive,
 		Transport:     TransportMem,
 		N:             64,
 		Source:        20,
@@ -317,7 +318,7 @@ func TestParityShapedDandelion(t *testing.T) {
 		Loss:    0.05,
 	}
 	rep := runScenario(t, Scenario{
-		Variant:       VariantDandelion,
+		Protocol:      stack.Dandelion,
 		Transport:     TransportMem,
 		N:             48,
 		Degree:        8,
@@ -351,10 +352,10 @@ func TestParityDetectsDivergence(t *testing.T) {
 		t.Skip("cluster run; skipped with -short")
 	}
 	rep, err := Run(Scenario{
-		Variant: VariantFlood,
-		N:       32,
-		Degree:  6,
-		Fault:   &Fault{Node: 9, Type: flood.TypeData},
+		Protocol: stack.Flood,
+		N:        32,
+		Degree:   6,
+		Fault:    &Fault{Node: 9, Type: flood.TypeData},
 	})
 	if err != nil {
 		t.Fatalf("faulted run failed to complete: %v", err)
@@ -390,9 +391,9 @@ func TestParityDetectsDivergenceComposed(t *testing.T) {
 		t.Skip("cluster run; skipped with -short")
 	}
 	sc := Scenario{
-		Variant: VariantComposed,
-		N:       64,
-		Fault:   &Fault{Node: 9, Type: flood.TypeData},
+		Protocol: stack.Composed,
+		N:        64,
+		Fault:    &Fault{Node: 9, Type: flood.TypeData},
 	}
 	rep, err := Run(sc)
 	if err != nil {
@@ -425,7 +426,7 @@ func TestParityDetectsDivergenceComposed(t *testing.T) {
 // TestScenarioValidation pins the config-honesty checks: a caller-set
 // composed source must be kept when valid and rejected when not.
 func TestScenarioValidation(t *testing.T) {
-	sc := Scenario{Variant: VariantComposed, N: 64, Source: 16}
+	sc := Scenario{Protocol: stack.Composed, N: 64, Source: 16}
 	sc.applyDefaults()
 	if sc.Source != 16 {
 		t.Errorf("caller-set member source overwritten: got %d", sc.Source)
@@ -433,7 +434,7 @@ func TestScenarioValidation(t *testing.T) {
 	if err := sc.validate(); err != nil {
 		t.Errorf("valid member source rejected: %v", err)
 	}
-	bad := Scenario{Variant: VariantComposed, N: 64, Source: 3}
+	bad := Scenario{Protocol: stack.Composed, N: 64, Source: 3}
 	bad.applyDefaults()
 	if err := bad.validate(); err == nil {
 		t.Error("non-member composed source accepted")
@@ -446,7 +447,7 @@ func TestScenarioValidation(t *testing.T) {
 // and surface as a baffling transport/codec divergence instead of this
 // direct failure.
 func TestCodecMatchesFlexnet(t *testing.T) {
-	got := newCodec().Types()
+	got := stack.Codec().Types()
 	want := flexnet.NewCodec().Types()
 	if len(got) != len(want) {
 		t.Fatalf("parity codec registers %d types, flexnet %d", len(got), len(want))
@@ -463,7 +464,7 @@ func TestReportTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster run; skipped with -short")
 	}
-	rep := runScenario(t, Scenario{Variant: VariantFlood, N: 16, Degree: 4, WallTolerance: 60})
+	rep := runScenario(t, Scenario{Protocol: stack.Flood, N: 16, Degree: 4, WallTolerance: 60})
 	out := rep.String()
 	for _, want := range []string{"flood/data", "parity: OK", "total"} {
 		if !strings.Contains(out, want) {

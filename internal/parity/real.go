@@ -7,11 +7,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/netem"
 	"repro/internal/node"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/transport"
 )
 
@@ -82,7 +82,7 @@ type cluster struct {
 
 // runReal boots the cluster, injects the broadcast, runs it to
 // quiescence, shuts it down, and aggregates the wire accounting.
-func (sc *Scenario) runReal() (*Accounting, error) {
+func (sc *Scenario) runReal(handlers func(proto.NodeID) proto.Handler) (*Accounting, error) {
 	g, err := sc.topo()
 	if err != nil {
 		return nil, err
@@ -110,8 +110,7 @@ func (sc *Scenario) runReal() (*Accounting, error) {
 		shaper = &sh
 	}
 
-	hashes := core.SimHashes(sc.N)
-	codec := newCodec()
+	codec := stack.Codec()
 
 	// Both substrates resolve stable names, so the full address book
 	// ships in every Config before any node boots — no late-binding
@@ -123,7 +122,7 @@ func (sc *Scenario) runReal() (*Accounting, error) {
 
 	for i := 0; i < sc.N; i++ {
 		id := proto.NodeID(i)
-		h := sc.handler(id, hashes)
+		h := handlers(id)
 		if f := sc.Fault; f != nil && f.Node == id {
 			h = &dropHandler{inner: h, drop: f.Type}
 		}
@@ -206,7 +205,7 @@ func (c *cluster) awaitQuiescence() error {
 	// condition keep the short window (stability there only confirms
 	// the tail has drained).
 	required := stablePolls
-	stabilityOnly := c.sc.Fault != nil || c.sc.Variant == VariantAdaptive || c.sc.lossy()
+	stabilityOnly := c.sc.Fault != nil || c.sc.Protocol == stack.Adaptive || c.sc.lossy()
 	if stabilityOnly || c.sc.Netem != nil {
 		// Any shaped run needs the widened window even when coverage is
 		// its completion signal: duplicate frames tx-counted at send can
@@ -259,10 +258,10 @@ func (c *cluster) awaitQuiescence() error {
 // still while it is in flight.
 func (c *cluster) settlePolls() int {
 	gap := 200 * time.Millisecond
-	if c.sc.Variant == VariantComposed && 2*c.sc.DCInterval > gap {
+	if c.sc.Protocol == stack.Composed && 2*c.sc.DCInterval > gap {
 		gap = 2 * c.sc.DCInterval
 	}
-	if (c.sc.Variant == VariantComposed || c.sc.Variant == VariantAdaptive) && 2*c.sc.ADInterval > gap {
+	if (c.sc.Protocol == stack.Composed || c.sc.Protocol == stack.Adaptive) && 2*c.sc.ADInterval > gap {
 		gap = 2 * c.sc.ADInterval
 	}
 	var maxDelay time.Duration
@@ -309,10 +308,10 @@ func (c *cluster) fingerprint() [2]int64 {
 // only part of the overlay by design), and all bounded DC rounds
 // completed for the composed stack.
 func (c *cluster) progressDone() bool {
-	if c.sc.Variant != VariantAdaptive && c.deliveredCount() < c.sc.N {
+	if c.sc.Protocol != stack.Adaptive && c.deliveredCount() < c.sc.N {
 		return false
 	}
-	if c.sc.Variant == VariantComposed {
+	if c.sc.Protocol == stack.Composed {
 		for _, m := range c.sc.Group {
 			if c.sc.Fault != nil && c.sc.Fault.Node == m {
 				continue

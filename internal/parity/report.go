@@ -5,21 +5,16 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/proto"
+	"repro/internal/stack"
 	"repro/internal/wire"
 )
-
-// wireTypeIndex is the canonical type/name/phase index shared with the
-// experiment tables (so the parity diff and cmd/flexsim name message
-// types identically).
-func wireTypeIndex() []experiments.WireType { return experiments.WireTypes() }
 
 // Accounting is one run's wire-level table: per-type and total message
 // and marshaled-byte counts, delivery coverage, and duration (virtual
 // for the simulator, wall-clock injection→last-delivery for the real
-// cluster). It implements metrics.WireCounts.
+// cluster).
 type Accounting struct {
 	Msgs  map[proto.MsgType]int64
 	Bytes map[proto.MsgType]int64
@@ -59,14 +54,6 @@ func newAccounting() *Accounting {
 		Bytes: make(map[proto.MsgType]int64),
 	}
 }
-
-// MessagesOfType implements metrics.WireCounts.
-func (a *Accounting) MessagesOfType(t proto.MsgType) int64 { return a.Msgs[t] }
-
-// BytesOfType implements metrics.WireCounts.
-func (a *Accounting) BytesOfType(t proto.MsgType) int64 { return a.Bytes[t] }
-
-var _ metrics.WireCounts = (*Accounting)(nil)
 
 // Divergence is one detected mismatch, tagged with the phase and message
 // type it belongs to.
@@ -122,7 +109,7 @@ func compare(sc *Scenario, simA, realA *Accounting) *Report {
 	r := &Report{Scenario: *sc, Sim: simA, Real: realA, TimingOK: true}
 
 	seen := make(map[proto.MsgType]bool)
-	for _, wt := range wireTypeIndex() {
+	for _, wt := range stack.WireTypes() {
 		sm, rm := simA.Msgs[wt.Type], realA.Msgs[wt.Type]
 		sb, rb := simA.Bytes[wt.Type], realA.Bytes[wt.Type]
 		seen[wt.Type] = true
@@ -130,16 +117,16 @@ func compare(sc *Scenario, simA, realA *Accounting) *Report {
 			continue
 		}
 		row := Row{
-			Type: wt.Type, Name: wt.Name, Phase: wt.Phase,
+			Type: wt.Type, Name: wt.Name, Phase: wt.Phase.String(),
 			SimMsgs: sm, RealMsgs: rm, SimBytes: sb, RealBytes: rb,
 			OK: sm == rm && sb == rb,
 		}
 		r.Rows = append(r.Rows, row)
 		if sm != rm {
-			r.Divergences = append(r.Divergences, Divergence{Phase: wt.Phase, Type: wt.Name, Kind: "messages", Sim: sm, Real: rm})
+			r.Divergences = append(r.Divergences, Divergence{Phase: row.Phase, Type: wt.Name, Kind: "messages", Sim: sm, Real: rm})
 		}
 		if sb != rb {
-			r.Divergences = append(r.Divergences, Divergence{Phase: wt.Phase, Type: wt.Name, Kind: "bytes", Sim: sb, Real: rb})
+			r.Divergences = append(r.Divergences, Divergence{Phase: row.Phase, Type: wt.Name, Kind: "bytes", Sim: sb, Real: rb})
 		}
 	}
 	// Types outside the canonical index still participate via totals;
@@ -160,13 +147,13 @@ func compare(sc *Scenario, simA, realA *Accounting) *Report {
 		name := fmt.Sprintf("type %#04x", uint16(t))
 		if simA.Msgs[t] != realA.Msgs[t] {
 			r.Divergences = append(r.Divergences, Divergence{
-				Phase: experiments.PhaseOf(t), Type: name,
+				Phase: stack.PhaseOf(t).String(), Type: name,
 				Kind: "messages", Sim: simA.Msgs[t], Real: realA.Msgs[t],
 			})
 		}
 		if simA.Bytes[t] != realA.Bytes[t] {
 			r.Divergences = append(r.Divergences, Divergence{
-				Phase: experiments.PhaseOf(t), Type: name,
+				Phase: stack.PhaseOf(t).String(), Type: name,
 				Kind: "bytes", Sim: simA.Bytes[t], Real: realA.Bytes[t],
 			})
 		}
@@ -267,7 +254,7 @@ func compare(sc *Scenario, simA, realA *Accounting) *Report {
 func (r *Report) Table() *metrics.Table {
 	t := metrics.NewTable(
 		fmt.Sprintf("parity — %s over %s (N=%d, seed %d): simulator vs real transport",
-			r.Scenario.Variant, r.Scenario.Transport, r.Scenario.N, r.Scenario.Seed),
+			r.Scenario.Protocol, r.Scenario.Transport, r.Scenario.N, r.Scenario.Seed),
 		"phase", "type", "sim msgs", "real msgs", "sim bytes", "real bytes", "match",
 	)
 	for _, row := range r.Rows {

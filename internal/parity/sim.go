@@ -5,9 +5,9 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/stack"
 )
 
 // simLatency is the constant per-hop latency of the sim twin. It is a
@@ -29,12 +29,12 @@ func randFor(seed uint64) *rand.Rand {
 
 // runSim executes the scenario under the discrete-event simulator and
 // extracts its accounting.
-func (sc *Scenario) runSim() (*Accounting, error) {
+func (sc *Scenario) runSim(handlers func(proto.NodeID) proto.Handler) (*Accounting, error) {
 	g, err := sc.topo()
 	if err != nil {
 		return nil, err
 	}
-	codec := newCodec()
+	codec := stack.Codec()
 	opts := sim.Options{
 		Seed:    sc.Seed,
 		Latency: sim.ConstLatency(simLatency),
@@ -48,14 +48,13 @@ func (sc *Scenario) runSim() (*Accounting, error) {
 		opts.Netem = sc.Netem
 	}
 	net := sim.NewNetwork(g, opts)
-	hashes := core.SimHashes(sc.N)
-	net.SetHandlers(func(id proto.NodeID) proto.Handler { return sc.handler(id, hashes) })
+	net.SetHandlers(handlers)
 	net.Start()
 	id, err := net.Originate(sc.Source, sc.Payload)
 	if err != nil {
 		return nil, err
 	}
-	if sc.Variant == VariantDandelion {
+	if sc.Protocol == stack.Dandelion {
 		// The epoch timer re-arms forever; run to a horizon instead of
 		// draining the queue.
 		net.RunUntil(simHorizon)

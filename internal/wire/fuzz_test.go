@@ -9,26 +9,11 @@ import (
 	"repro/internal/dandelion"
 	"repro/internal/dcnet"
 	"repro/internal/flood"
-	"repro/internal/group"
 	"repro/internal/node"
-	"repro/internal/relchan"
+	"repro/internal/stack"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
-
-// fuzzCodec registers the full wire surface of a composed node, so the
-// decoder fuzzing covers every message family a hostile peer could
-// target.
-func fuzzCodec() *wire.Codec {
-	c := wire.NewCodec()
-	flood.RegisterMessages(c)
-	adaptive.RegisterMessages(c)
-	dcnet.RegisterMessages(c)
-	dandelion.RegisterMessages(c)
-	relchan.RegisterMessages(c)
-	group.RegisterMessages(c)
-	node.RegisterMessages(c)
-	return c
-}
 
 // FuzzWireDecode feeds arbitrary bytes to the codec: Unmarshal must
 // never panic — a hostile peer controls every byte after the frame
@@ -38,7 +23,9 @@ func fuzzCodec() *wire.Codec {
 // is too strong: varint length prefixes admit non-canonical spellings,
 // which decode fine but re-encode canonically.)
 func FuzzWireDecode(f *testing.F) {
-	codec := fuzzCodec()
+	// The full wire surface of a live node: every message family a
+	// hostile peer could target over TCP.
+	codec := stack.Codec()
 	// Seed with one valid encoding per family plus degenerate inputs.
 	seeds := []wire.Encodable{
 		&flood.DataMsg{ID: [16]byte{1}, Hops: 3, Payload: []byte("tx")},
@@ -47,6 +34,7 @@ func FuzzWireDecode(f *testing.F) {
 		&dcnet.ShareMsg{Round: 7, Data: bytes.Repeat([]byte{0xaa}, 32)},
 		&dandelion.StemMsg{ID: [16]byte{4}, Payload: []byte("stem")},
 		&node.BlockMsg{Height: 1, Miner: 3, Txs: [][]byte{{0x01}}},
+		&workload.SubmitMsg{Payload: []byte("submit")},
 	}
 	for _, m := range seeds {
 		enc, err := codec.Marshal(m)
