@@ -174,6 +174,9 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	if !(cfg.AdversaryFraction >= 0 && cfg.AdversaryFraction < 1) {
 		return nil, fmt.Errorf("flexnet: AdversaryFraction %v outside [0,1)", cfg.AdversaryFraction)
 	}
+	if cfg.LatencyMs < 0 {
+		return nil, fmt.Errorf("flexnet: negative LatencyMs %d", cfg.LatencyMs)
+	}
 	topoRNG := rand.New(rand.NewPCG(cfg.Seed+1, 0x51ed2701))
 	g, err := buildTopology(cfg, topoRNG)
 	if err != nil {

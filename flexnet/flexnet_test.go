@@ -184,6 +184,17 @@ func TestSimulateRejectsBadAdversaryFraction(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsNegativeLatency requires an error for a negative
+// per-hop latency, which would schedule every delivery before its send
+// and report a meaningless time to coverage.
+func TestSimulateRejectsNegativeLatency(t *testing.T) {
+	for _, ms := range []int{-1, -5} {
+		if _, err := Simulate(SimConfig{N: 50, Degree: 4, Protocol: ProtocolFlood, Seed: 1, LatencyMs: ms}); err == nil {
+			t.Errorf("LatencyMs %d accepted", ms)
+		}
+	}
+}
+
 func TestProtocolString(t *testing.T) {
 	names := map[Protocol]string{
 		ProtocolFlood: "flood", ProtocolDandelion: "dandelion",

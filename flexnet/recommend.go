@@ -106,16 +106,20 @@ func (in *AdvisorInput) applyDefaults() {
 // ten" and d is "chosen based on the network diameter".
 func RecommendParams(in AdvisorInput) (*Recommendation, error) {
 	in.applyDefaults()
-	if in.TargetFloor <= 0 || in.TargetFloor >= 1 {
+	// Inverted comparisons reject NaN too.
+	if !(in.TargetFloor > 0 && in.TargetFloor < 1) {
 		return nil, errors.New("flexnet: TargetFloor must be in (0,1)")
 	}
-	if in.AdversaryFraction < 0 || in.AdversaryFraction >= 1 {
+	if !(in.AdversaryFraction >= 0 && in.AdversaryFraction < 1) {
 		return nil, errors.New("flexnet: AdversaryFraction must be in [0,1)")
 	}
-	if in.LossRate < 0 || in.LossRate >= 1 {
+	if !(in.LossRate >= 0 && in.LossRate < 1) {
 		return nil, errors.New("flexnet: LossRate must be in [0,1)")
 	}
-	if in.SustainedRate < 0 {
+	if in.LatencyMs < 0 {
+		return nil, errors.New("flexnet: LatencyMs must be >= 0")
+	}
+	if !(in.SustainedRate >= 0) {
 		return nil, errors.New("flexnet: SustainedRate must be >= 0")
 	}
 	rho := 0.0

@@ -56,17 +56,26 @@ func TestRecommendParamsCoverage(t *testing.T) {
 }
 
 func TestRecommendParamsValidation(t *testing.T) {
-	if _, err := RecommendParams(AdvisorInput{TargetFloor: 1.5}); err == nil {
-		t.Error("TargetFloor > 1 accepted")
+	// NaN passes naive `x < 0 || x >= 1` range checks, so each float
+	// field is probed with it alongside the out-of-range values.
+	cases := []struct {
+		name string
+		in   AdvisorInput
+	}{
+		{"TargetFloor > 1", AdvisorInput{TargetFloor: 1.5}},
+		{"NaN TargetFloor", AdvisorInput{TargetFloor: math.NaN()}},
+		{"negative AdversaryFraction", AdvisorInput{TargetFloor: 0.2, AdversaryFraction: -0.1}},
+		{"NaN AdversaryFraction", AdvisorInput{TargetFloor: 0.2, AdversaryFraction: math.NaN()}},
+		{"LossRate = 1", AdvisorInput{LossRate: 1.0}},
+		{"negative LossRate", AdvisorInput{LossRate: -0.1}},
+		{"NaN LossRate", AdvisorInput{TargetFloor: 0.2, LossRate: math.NaN()}},
+		{"negative LatencyMs", AdvisorInput{TargetFloor: 0.2, LatencyMs: -5}},
+		{"NaN SustainedRate", AdvisorInput{TargetFloor: 0.2, SustainedRate: math.NaN()}},
 	}
-	if _, err := RecommendParams(AdvisorInput{TargetFloor: 0.2, AdversaryFraction: -0.1}); err == nil {
-		t.Error("negative adversary fraction accepted")
-	}
-	if _, err := RecommendParams(AdvisorInput{LossRate: 1.0}); err == nil {
-		t.Error("LossRate = 1 accepted")
-	}
-	if _, err := RecommendParams(AdvisorInput{LossRate: -0.1}); err == nil {
-		t.Error("negative LossRate accepted")
+	for _, c := range cases {
+		if _, err := RecommendParams(c.in); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 

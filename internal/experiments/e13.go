@@ -67,7 +67,8 @@ func dissentRound(n int, hop time.Duration) (time.Duration, int64) {
 	secrets := dissent.SharedLayerSecrets(core.SimHashes(n))
 	// The hop latency is E13's sweep axis, declared as an on-the-fly
 	// constant profile rather than a Scenario-threaded preset.
-	opts := sim.Options{Seed: uint64(n) + 7, Latency: netem.ConstProfile("hop", hop).Model()}
+	p := netem.ConstProfile("hop", hop)
+	opts := sim.Options{Seed: uint64(n) + 7, Netem: &p}
 	net := sim.NewNetwork(g, opts)
 	var publishedAt time.Duration
 	all := make([]proto.NodeID, n)

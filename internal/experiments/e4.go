@@ -16,37 +16,37 @@ import (
 )
 
 // e4Worker is E4's per-worker state — like adWorker (e6.go), but with
-// one long-lived network per latency model plus one shared flood state,
+// one long-lived network per condition profile plus one shared flood state,
 // Reset per trial; the topology repeats, so only the seed changes.
 // Reset ≡ fresh (TestResetEqualsFresh), hence tables stay bit-identical
 // to the fresh-network form (TestNetworkReuseBitIdentical runs both
 // arms). A zero worker (FreshNet scenarios) rebuilds per trial.
 type e4Worker struct {
-	latConst, latJit sim.LatencyModel
+	latConst, latJit *netem.Profile
 	netConst, netJit *sim.Network
 	shared           *flood.Shared
 }
 
-func newE4Worker(sc Scenario, g *topology.Graph, n int, latConst, latJit sim.LatencyModel) *e4Worker {
+func newE4Worker(sc Scenario, g *topology.Graph, n int, latConst, latJit *netem.Profile) *e4Worker {
 	w := &e4Worker{latConst: latConst, latJit: latJit}
 	if sc.FreshNet {
 		return w
 	}
-	w.netConst = sim.NewNetwork(g, sim.Options{Latency: latConst})
-	w.netJit = sim.NewNetwork(g, sim.Options{Latency: latJit})
+	w.netConst = sim.NewNetwork(g, sim.Options{Netem: latConst})
+	w.netJit = sim.NewNetwork(g, sim.Options{Netem: latJit})
 	w.shared = flood.NewShared(n)
 	return w
 }
 
 // trial returns the network and shared state ready for one seeded
-// sub-run under the selected latency model.
+// sub-run under the selected condition profile.
 func (w *e4Worker) trial(g *topology.Graph, n int, seed uint64, jitter bool) (*sim.Network, *flood.Shared) {
 	if w.netConst == nil {
 		lat := w.latConst
 		if jitter {
 			lat = w.latJit
 		}
-		return sim.NewNetwork(g, sim.Options{Seed: seed, Latency: lat}), flood.NewShared(n)
+		return sim.NewNetwork(g, sim.Options{Seed: seed, Netem: lat}), flood.NewShared(n)
 	}
 	net := w.netConst
 	if jitter {
@@ -87,13 +87,11 @@ func E4FloodDeanonymization(sc Scenario) *metrics.Table {
 	}
 	// E4's measured axis is the network condition itself (constant vs
 	// jittered WAN links), so both arms are fixed presets rather than a
-	// single Scenario-threaded profile; the rng-mode models reproduce
-	// the former ConstLatency/UniformLatency literals bit-for-bit.
-	latConst := netem.WAN.Model()
-	latJit := netem.WANJitter.Model()
+	// single Scenario-threaded profile.
+	latConst, latJit := netem.WAN, netem.WANJitter
 	for _, f := range fractions {
 		samples := runner.MapWorker(nTrials, sc.Par, func() *e4Worker {
-			return newE4Worker(sc, g, n, latConst, latJit)
+			return newE4Worker(sc, g, n, &latConst, &latJit)
 		}, func(w *e4Worker, trial int) sample {
 			rng := rand.New(rand.NewPCG(uint64(trial+1), uint64(f*1000)))
 			corrupted := adversary.SampleCorrupted(n, f, rng)

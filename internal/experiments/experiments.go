@@ -46,10 +46,10 @@ type Scenario struct {
 	// Shards partitions each trial network across per-shard event loops
 	// (`flexsim -shards`) on the experiments that support in-run
 	// parallelism (e1, e14 — the city-scale sweeps — and the tapped e16
-	// spy sweep, whose observers replay from the merged per-shard
-	// observation logs). Tables are bit-identical at every setting
-	// (TestShardedGoldenTables); networks whose configuration cannot
-	// shard safely clamp to one loop. 0 or 1 keeps the single event
+	// and e17 spy sweeps, whose observers replay from the merged
+	// per-shard observation logs). Tables are bit-identical at every
+	// setting (TestShardedGoldenTables); a profile with no positive
+	// minimum delay clamps to one loop. 0 or 1 keeps the single event
 	// loop.
 	Shards int
 	// Verbose emits per-shard diagnostics (event counts, lookahead
@@ -115,26 +115,20 @@ func (sc Scenario) degree(def int) int {
 }
 
 // netOptions builds one trial's sim options from the experiment's
-// declared condition preset, honoring a -netem override. Unimpaired
-// profiles (plain latency/jitter) route through the rng-mode latency
-// model — bit-compatible with the literals they replaced, so golden
-// tables are unchanged — while impaired profiles (loss, churn) take the
-// shaped hash-mode path.
+// declared condition preset, honoring a -netem override.
 func (sc Scenario) netOptions(seed uint64, def netem.Profile) sim.Options {
 	p := def
 	if sc.Netem != nil {
 		p = *sc.Netem
 	}
-	if p.Impaired() {
-		return sim.Options{Seed: seed, Netem: &p}
-	}
-	return sim.Options{Seed: seed, Latency: p.Model()}
+	return sim.Options{Seed: seed, Netem: &p}
 }
 
 // shardOptions is netOptions plus the scenario's shard request — used by
 // the experiments that opt into in-run parallelism. The network clamps
-// the request to one loop whenever the configuration cannot shard
-// safely, so passing it through unconditionally is always sound.
+// the request to one loop when the profile has no positive minimum
+// delay or the network has fewer nodes than shards, so passing it
+// through unconditionally is always sound.
 func (sc Scenario) shardOptions(seed uint64, def netem.Profile) sim.Options {
 	o := sc.netOptions(seed, def)
 	o.Shards = sc.Shards

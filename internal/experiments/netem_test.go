@@ -9,7 +9,7 @@ import (
 // TestNetemOverrideZeroImpairmentBitIdentical pins the profile
 // migration satellite: overriding an experiment with the very preset it
 // declares (a zero-impairment profile) must route through the same
-// rng-mode latency path and reproduce the default table bit-for-bit —
+// network path and reproduce the default table bit-for-bit —
 // i.e. naming conditions as profiles changed nothing the golden
 // fixtures measure (the fixtures themselves are guarded by
 // TestGoldenTables).

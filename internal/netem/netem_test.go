@@ -9,9 +9,8 @@ import (
 	"repro/internal/proto"
 )
 
-// TestDistDeterminism pins both sampling modes of every distribution:
-// rng-mode must replay identically from an equally seeded stream, and
-// hash-mode must be a pure function of the word.
+// TestDistDeterminism pins the sampling contract of every distribution:
+// At must be a pure function of the word, non-negative and within Max.
 func TestDistDeterminism(t *testing.T) {
 	dists := []Dist{
 		Const(50 * time.Millisecond),
@@ -20,39 +19,17 @@ func TestDistDeterminism(t *testing.T) {
 		Empirical{Values: []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 45 * time.Millisecond, 90 * time.Millisecond}},
 	}
 	for _, d := range dists {
-		r1 := rand.New(rand.NewPCG(7, 9))
-		r2 := rand.New(rand.NewPCG(7, 9))
 		for i := 0; i < 1000; i++ {
-			a, b := d.Draw(r1), d.Draw(r2)
-			if a != b {
-				t.Fatalf("%s: rng-mode draw %d diverged: %v vs %v", d, i, a, b)
-			}
 			w := rand.Uint64()
 			if x, y := d.At(w), d.At(w); x != y {
 				t.Fatalf("%s: hash-mode not pure at %#x: %v vs %v", d, w, x, y)
 			}
-			if a < 0 || d.At(w) < 0 {
+			if d.At(w) < 0 {
 				t.Fatalf("%s: negative delay", d)
 			}
-			if a > d.Max() || d.At(w) > d.Max() {
+			if d.At(w) > d.Max() {
 				t.Fatalf("%s: sample exceeds Max %v", d, d.Max())
 			}
-		}
-	}
-}
-
-// TestUniformMatchesSimLatency pins the bit-compatibility contract:
-// Uniform.Draw must consume the RNG exactly like sim.UniformLatency
-// (Min + Int64N(span+1)), so profile-named experiments reproduce their
-// golden tables.
-func TestUniformMatchesSimLatency(t *testing.T) {
-	u := Uniform{Min: 25 * time.Millisecond, Hi: 75 * time.Millisecond}
-	r1 := rand.New(rand.NewPCG(3, 5))
-	r2 := rand.New(rand.NewPCG(3, 5))
-	for i := 0; i < 1000; i++ {
-		want := u.Min + time.Duration(r2.Int64N(int64(u.Hi-u.Min)+1))
-		if got := u.Draw(r1); got != want {
-			t.Fatalf("draw %d: got %v, want %v", i, got, want)
 		}
 	}
 }
@@ -250,8 +227,5 @@ func TestParseProfile(t *testing.T) {
 		if _, err := ParseProfile(spec); err == nil {
 			t.Errorf("ParseProfile(%q) accepted", spec)
 		}
-	}
-	if Lossy.Impaired() != true || WAN.Impaired() != false {
-		t.Error("Impaired misclassifies presets")
 	}
 }

@@ -44,7 +44,6 @@ func (sc *Scenario) runSim(handlers func(proto.NodeID) proto.Handler) (*Accounti
 		// Shaped twin: the profile replaces the loopback placeholder
 		// latency entirely, so both runs draw delay and loss from the
 		// same hash-mode decision function.
-		opts.Latency = nil
 		opts.Netem = sc.Netem
 	}
 	net := sim.NewNetwork(g, opts)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/flood"
+	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -23,8 +24,16 @@ type runFingerprint struct {
 	times      []time.Duration
 }
 
+// jitterLoss is the probe condition: uniform latency plus message loss,
+// so the run exercises both shaped decisions (delay and drop).
+var jitterLoss = netem.Profile{
+	Name:    "jitter-loss",
+	Latency: netem.Uniform{Min: 5 * time.Millisecond, Hi: 40 * time.Millisecond},
+	Loss:    0.05,
+}
+
 // floodRun executes one seeded flood broadcast over a fixed topology with
-// jittered latency and failure injection, exercising both network RNGs.
+// jittered latency and failure injection.
 func floodRun(t *testing.T, seed uint64) runFingerprint {
 	t.Helper()
 	g, err := topology.RandomRegular(200, 8, testBenchRNG())
@@ -34,10 +43,9 @@ func floodRun(t *testing.T, seed uint64) runFingerprint {
 	codec := wire.NewCodec()
 	flood.RegisterMessages(codec)
 	net := NewNetwork(g, Options{
-		Seed:     seed,
-		Latency:  UniformLatency{Min: 5 * time.Millisecond, Max: 40 * time.Millisecond},
-		Codec:    codec,
-		DropRate: 0.05,
+		Seed:  seed,
+		Netem: &jitterLoss,
+		Codec: codec,
 	})
 	net.SetHandlers(func(proto.NodeID) proto.Handler { return flood.New() })
 	net.Start()
@@ -154,10 +162,9 @@ func TestResetEqualsFresh(t *testing.T) {
 	codec := wire.NewCodec()
 	flood.RegisterMessages(codec)
 	opts := Options{
-		Seed:     42,
-		Latency:  UniformLatency{Min: 5 * time.Millisecond, Max: 40 * time.Millisecond},
-		Codec:    codec,
-		DropRate: 0.05,
+		Seed:  42,
+		Netem: &jitterLoss,
+		Codec: codec,
 	}
 
 	fresh42 := networkFingerprint(t, NewNetwork(g, opts))

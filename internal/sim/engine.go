@@ -1,10 +1,10 @@
 // Package sim implements the deterministic discrete-event runtime the
 // experiments run on: an event engine (virtual clock + index-based 4-ary
 // min-heap over a pooled event arena) and a Network that hosts one
-// proto.Handler per topology node, delivers messages with a configurable
-// latency model, counts messages and bytes per type, and supports failure
-// injection (drops, crashed nodes) and observation taps for the adversary
-// framework.
+// proto.Handler per topology node, delivers messages under a netem
+// network-condition profile, counts messages and bytes per type, and
+// supports failure injection (drops, crashed nodes) and observation taps
+// for the adversary framework.
 //
 // Determinism contract: a Network built from the same topology, seed and
 // options replays the exact same event sequence. All randomness flows from

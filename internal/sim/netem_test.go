@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,11 +12,15 @@ import (
 )
 
 // netemFloodRun executes one seeded flood broadcast and returns the network
-// for inspection.
-func netemFloodRun(t *testing.T, g *topology.Graph, opts Options) (*Network, proto.MsgID) {
+// for inspection; prep, when non-nil, adjusts the network before Start.
+func netemFloodRun(t *testing.T, g *topology.Graph, opts Options, prep func(*Network)) (*Network, proto.MsgID) {
 	t.Helper()
 	net := NewNetwork(g, opts)
+	if prep != nil {
+		prep(net)
+	}
 	shared := flood.NewShared(g.N())
+	shared.Partition(max(opts.Shards, 1))
 	net.SetHandlers(func(id proto.NodeID) proto.Handler { return flood.NewAt(shared, id) })
 	net.Start()
 	id, err := net.Originate(0, []byte{0xab, 0xcd})
@@ -26,35 +31,71 @@ func netemFloodRun(t *testing.T, g *topology.Graph, opts Options) (*Network, pro
 	return net, id
 }
 
-// TestNetemZeroImpairmentEqualsLegacy is the regression pin for the
-// netem migration: a shaped network under a zero-impairment constant
-// profile must reproduce the legacy ConstLatency path bit-for-bit —
-// same counts, same bytes, same per-node delivery times — so routing an
-// experiment's conditions through a Profile changes nothing it
-// measures.
+// TestNetemZeroImpairmentEqualsLegacy pins the fixed-profile branch of
+// Network.send: Options.Latency must equal its ConstProfile spelled
+// through Options.Netem, and a fixed profile (here constant latency with
+// churn) must equal the same profile pushed through the hash shaper —
+// same counts, steps and per-node delivery times, at one loop and at
+// four shards. The fixed branch must never allocate link streams.
 func TestNetemZeroImpairmentEqualsLegacy(t *testing.T) {
 	g, err := topology.RandomRegular(256, 8, testBenchRNG())
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, idL := netemFloodRun(t, g, Options{Seed: 5, Latency: ConstLatency(50 * time.Millisecond)})
-	profile := netem.Profile{Latency: netem.Const(50 * time.Millisecond)}
-	shaped, idS := netemFloodRun(t, g, Options{Seed: 5, Netem: &profile})
-	if idL != idS {
-		t.Fatal("broadcast IDs differ")
+	const d = 50 * time.Millisecond
+	named := netem.ConstProfile("const", d)
+	churny := netem.Profile{
+		Latency: netem.Const(d),
+		Churn:   netem.Churn{Fraction: 0.2, Start: 20 * time.Millisecond, Down: 300 * time.Millisecond, Period: 50 * time.Millisecond},
 	}
-	if legacy.TotalMessages() != shaped.TotalMessages() {
-		t.Errorf("message counts differ: legacy %d, shaped %d", legacy.TotalMessages(), shaped.TotalMessages())
+	// forceShaped routes a fixed profile through the hash shaper, the
+	// path every non-fixed profile takes.
+	forceShaped := func(n *Network) {
+		sh := n.opts.Netem.Shaper(n.opts.Seed)
+		n.shaper = &sh
+		n.linkStreams = make([]linkStream, len(n.linkDst))
 	}
-	if shaped.NetemDropped() != 0 {
-		t.Errorf("zero-impairment profile dropped %d messages", shaped.NetemDropped())
-	}
-	if legacy.Delivered(idL) != shaped.Delivered(idS) {
-		t.Errorf("coverage differs: legacy %d, shaped %d", legacy.Delivered(idL), shaped.Delivered(idS))
-	}
-	for node, at := range legacy.Deliveries(idL).All() {
-		if got, ok := shaped.DeliveryTime(idS, node); !ok || got != at {
-			t.Fatalf("delivery time at node %d differs: legacy %v, shaped %v (ok=%v)", node, at, got, ok)
+	for _, k := range []int{1, 4} {
+		pairs := []struct {
+			name       string
+			a, b       Options
+			prepB      func(*Network)
+			wantCrashy bool
+		}{
+			{"latency-vs-const-profile", Options{Seed: 5, Latency: ConstLatency(d), Shards: k},
+				Options{Seed: 5, Netem: &named, Shards: k}, nil, false},
+			{"fixed-churn-vs-shaped", Options{Seed: 5, Netem: &churny, Shards: k},
+				Options{Seed: 5, Netem: &churny, Shards: k}, forceShaped, true},
+		}
+		for _, pc := range pairs {
+			t.Run(fmt.Sprintf("%s/k=%d", pc.name, k), func(t *testing.T) {
+				fixed, idA := netemFloodRun(t, g, pc.a, nil)
+				other, idB := netemFloodRun(t, g, pc.b, pc.prepB)
+				if fixed.shaper != nil || fixed.linkStreams != nil {
+					t.Fatal("fixed profile took the shaped branch or allocated link streams")
+				}
+				if fixed.ShardCount() != k || other.ShardCount() != k {
+					t.Fatalf("resolved %d/%d loops, want %d", fixed.ShardCount(), other.ShardCount(), k)
+				}
+				if idA != idB {
+					t.Fatal("broadcast IDs differ")
+				}
+				if fixed.TotalMessages() != other.TotalMessages() || fixed.Steps() != other.Steps() {
+					t.Errorf("runs differ: msgs %d/%d steps %d/%d",
+						fixed.TotalMessages(), other.TotalMessages(), fixed.Steps(), other.Steps())
+				}
+				if other.NetemDropped() != 0 {
+					t.Errorf("zero-loss profile dropped %d messages", other.NetemDropped())
+				}
+				if got := fixed.Delivered(idA); got != other.Delivered(idB) || (got == g.N()) == pc.wantCrashy {
+					t.Errorf("coverage %d/%d of %d (churn active: %v)", got, other.Delivered(idB), g.N(), pc.wantCrashy)
+				}
+				for node, at := range fixed.Deliveries(idA).All() {
+					if got, ok := other.DeliveryTime(idB, node); !ok || got != at {
+						t.Fatalf("delivery time at node %d differs: %v vs %v (ok=%v)", node, at, got, ok)
+					}
+				}
+			})
 		}
 	}
 }
@@ -74,8 +115,8 @@ func TestNetemShapedDeterminism(t *testing.T) {
 		Churn:   netem.Churn{Fraction: 0.1, Start: 10 * time.Millisecond, Down: 50 * time.Millisecond},
 	}
 	opts := Options{Seed: 9, Netem: &profile}
-	a, idA := netemFloodRun(t, g, opts)
-	b, idB := netemFloodRun(t, g, opts)
+	a, idA := netemFloodRun(t, g, opts, nil)
+	b, idB := netemFloodRun(t, g, opts, nil)
 	if a.TotalMessages() != b.TotalMessages() || a.NetemDropped() != b.NetemDropped() ||
 		a.Delivered(idA) != b.Delivered(idB) {
 		t.Fatalf("shaped runs diverge: msgs %d/%d drops %d/%d delivered %d/%d",

@@ -46,38 +46,39 @@ type Tap interface {
 type Options struct {
 	// Seed drives every random choice in the run.
 	Seed uint64
-	// Latency is the link delay model. Default: ConstLatency(10ms).
-	Latency LatencyModel
+	// Latency is the constant one-way link delay, used when Netem is nil
+	// (zero: the 10 ms default). It is shorthand for
+	// Netem = netem.ConstProfile(Latency); a zero-delay network is
+	// declared through Netem.
+	Latency ConstLatency
 	// Codec enables byte accounting when non-nil: every sent message that
 	// implements wire.Encodable is size-counted.
 	Codec *wire.Codec
-	// DropRate drops each message independently with this probability
-	// (failure injection; default 0).
-	DropRate float64
-	// Netem, when non-nil, routes delivery through the unified
-	// network-condition subsystem and supersedes Latency and DropRate:
-	// per-message delay (latency+jitter) and loss come from
-	// Profile.Shaper(Seed) — pure functions of (seed, from, to,
-	// per-link sequence), the same function internal/transport consults
-	// under Config.Shaper, so shaped runs agree across runtimes on
-	// exactly which messages die — and the profile's churn schedule is
-	// injected through the event loop at Start (crash/rejoin via
-	// Crash/Restore).
+	// Netem is the run's network-condition profile; nil means the
+	// constant Latency profile. A fixed profile (constant or absent
+	// latency and jitter, no loss) adds one constant delay per message.
+	// Any other profile draws each delay and drop from
+	// Profile.Shaper(Seed) — pure functions of (seed, from, to, per-link
+	// sequence), the same function internal/transport consults under
+	// Config.Shaper, so shaped runs agree across runtimes on exactly
+	// which messages die. The profile's churn schedule is injected
+	// through the event loop at Start (crash/rejoin via Crash/Restore).
 	Netem *netem.Profile
 	// Shards requests single-run parallelism: nodes are partitioned into
 	// up to this many contiguous ID ranges (topology.ShardBounds), each
 	// owning a private event loop, and the loops advance together under
-	// conservative lookahead = the minimum possible link delay. Every
-	// observable — counters, delivery sets, event counts, golden tables —
-	// is bit-identical at any shard count — including the tap callback
-	// stream, which replays from merged per-shard observation logs
-	// (obs.go). The effective count is resolved at Start and clamps to 1
-	// whenever sharding cannot be deterministic: DropRate > 0, a latency
-	// model that draws from the shared RNG stream (or implements no
-	// Lookaheader), a zero minimum delay, or more shards than nodes.
-	// ≤ 1 means single-shard (the default).
+	// conservative lookahead = the profile's minimum delay
+	// (Profile.MinDelay). Every observable — counters, delivery sets,
+	// event counts, golden tables, the tap callback stream (replayed from
+	// merged per-shard observation logs, obs.go) — is bit-identical at
+	// any shard count. The effective count is resolved at Start and
+	// clamps to 1 only when the minimum delay is zero or there are fewer
+	// nodes than shards. ≤ 1 means single-shard (the default).
 	Shards int
 }
+
+// ConstLatency is a constant one-way link delay (Options.Latency).
+type ConstLatency time.Duration
 
 // typeCounter is the per-MsgType accounting cell.
 type typeCounter struct {
@@ -161,9 +162,6 @@ type Network struct {
 	nodes []simNode
 	taps  []Tap
 
-	latencyRNG *rand.Rand
-	dropRNG    *rand.Rand
-
 	// Per-link FIFO state (like TCP, a link never reorders) in CSR form:
 	// linkDst[linkOff[v]:linkOff[v+1]] are v's neighbors and linkAt holds
 	// the latest scheduled arrival per directed edge. Sends outside the
@@ -174,12 +172,14 @@ type Network struct {
 	linkAt  []time.Duration
 	// linkStreams counts messages per (directed CSR link, message type)
 	// — the sequence numbers netem hash-mode decisions key on. Allocated
-	// only when Options.Netem is set.
+	// only for shaped (non-fixed) profiles.
 	linkStreams []linkStream
 
-	// shaper holds the netem hash-mode decision function (nil without
-	// Options.Netem). Decide is a pure function of immutable state, so
+	// fixed is the per-message delay of a fixed profile; shaper holds
+	// the hash-mode decision function of any other profile (nil when
+	// fixed). Decide is a pure function of immutable state, so
 	// concurrent shards may consult it freely.
+	fixed  time.Duration
 	shaper *netem.Shaper
 
 	// shards always holds at least one entry; engCache retains engines
@@ -217,16 +217,18 @@ func NodeSeed(seed uint64, id proto.NodeID) (uint64, uint64) {
 // NewNetwork creates a network over the topology. Handlers are attached
 // with SetHandlers before Start.
 func NewNetwork(topo *topology.Graph, opts Options) *Network {
-	if opts.Latency == nil {
-		opts.Latency = ConstLatency(10 * time.Millisecond)
+	if opts.Netem == nil {
+		if opts.Latency == 0 {
+			opts.Latency = ConstLatency(10 * time.Millisecond)
+		}
+		p := netem.ConstProfile("const", time.Duration(opts.Latency))
+		opts.Netem = &p
 	}
 	n := &Network{
 		engine:     NewEngine(),
 		topo:       topo,
 		opts:       opts,
 		nodes:      make([]simNode, topo.N()),
-		latencyRNG: rand.New(rand.NewPCG(opts.Seed, 0xda3e39cb94b95bdb)),
-		dropRNG:    rand.New(rand.NewPCG(opts.Seed, 0x2545f4914f6cdd1d)),
 		deliveries: make(map[proto.MsgID]*DeliverySet),
 	}
 	n.engCache = []*Engine{n.engine}
@@ -239,7 +241,9 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 	for i := 0; i < topo.N(); i++ {
 		copy(n.linkDst[n.linkOff[i]:], topo.Neighbors(proto.NodeID(i)))
 	}
-	if opts.Netem != nil {
+	if d, ok := fixedDelay(*opts.Netem); ok {
+		n.fixed = d
+	} else {
 		sh := opts.Netem.Shaper(opts.Seed)
 		n.shaper = &sh
 		n.linkStreams = make([]linkStream, len(n.linkDst))
@@ -254,6 +258,28 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 	}
 	n.buildShards(1)
 	return n
+}
+
+// fixedDelay reports whether p is fixed — latency and jitter constant or
+// absent, no loss (churn allowed) — and if so its per-message delay.
+// Fixed profiles skip the hash shaper: every decision it would make is
+// the same constant, so the per-link stream counters (N·degree cells)
+// are never allocated.
+func fixedDelay(p netem.Profile) (time.Duration, bool) {
+	if p.Loss != 0 {
+		return 0, false
+	}
+	var d time.Duration
+	for _, c := range []netem.Dist{p.Latency, p.Jitter} {
+		switch c := c.(type) {
+		case nil:
+		case netem.Const:
+			d += time.Duration(c)
+		default:
+			return 0, false
+		}
+	}
+	return d, true
 }
 
 // Reset rewinds the network for a fresh run over the same topology and
@@ -275,13 +301,11 @@ func (n *Network) Reset(seed uint64) {
 		sh.reset()
 	}
 	n.opts.Seed = seed
-	n.latencyRNG = rand.New(rand.NewPCG(seed, 0xda3e39cb94b95bdb))
-	n.dropRNG = rand.New(rand.NewPCG(seed, 0x2545f4914f6cdd1d))
 	clear(n.deliveries)
 	for i := range n.linkAt {
 		n.linkAt[i] = 0
 	}
-	if n.opts.Netem != nil {
+	if n.shaper != nil {
 		sh := n.opts.Netem.Shaper(seed)
 		n.shaper = &sh
 		for i := range n.linkStreams {
@@ -390,14 +414,12 @@ func (n *Network) Start() {
 	// scheduled on its target node's shard via the control stream —
 	// control events sort ahead of same-instant node events, preserving
 	// the crash-before-delivery order of the single-loop engine.
-	if n.opts.Netem != nil {
-		for _, ev := range n.opts.Netem.Churn.Events(len(n.nodes), n.opts.Seed) {
-			id := ev.Node
-			if ev.Up {
-				n.scheduleCtl(n.nodes[id].eng, ev.At, func() { n.Restore(id) })
-			} else {
-				n.scheduleCtl(n.nodes[id].eng, ev.At, func() { n.Crash(id) })
-			}
+	for _, ev := range n.opts.Netem.Churn.Events(len(n.nodes), n.opts.Seed) {
+		id := ev.Node
+		if ev.Up {
+			n.scheduleCtl(n.nodes[id].eng, ev.At, func() { n.Restore(id) })
+		} else {
+			n.scheduleCtl(n.nodes[id].eng, ev.At, func() { n.Crash(id) })
 		}
 	}
 }
@@ -526,7 +548,7 @@ func (n *Network) TotalBytes() int64 {
 }
 
 // NetemDropped returns how many messages the netem profile's loss model
-// killed (0 without Options.Netem). Dropped messages are still counted
+// killed (0 for a lossless profile). Dropped messages are still counted
 // in the per-type and total tables — a message is counted when the
 // handler hands it to the network, matching the transport's tx
 // accounting.
@@ -734,7 +756,7 @@ func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
 	if len(n.taps) > 0 {
 		n.tapSend(from, now, to, msg)
 	}
-	var delay time.Duration
+	delay := n.fixed
 	slot, streams := n.linkSlot(from, to)
 	if n.shaper != nil {
 		// Shaped path: loss and delay are hash decisions on the link's
@@ -747,11 +769,6 @@ func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
 			sh.netemDropped++
 			return
 		}
-	} else {
-		if n.opts.DropRate > 0 && n.dropRNG.Float64() < n.opts.DropRate {
-			return
-		}
-		delay = n.opts.Latency.Delay(from.id, to, n.latencyRNG)
 	}
 	// Clamp to per-link FIFO: a later send never overtakes an earlier one
 	// on the same directed link, matching TCP stream semantics. The clamp

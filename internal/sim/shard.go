@@ -163,37 +163,17 @@ func (n *Network) ShardStats() []ShardStats {
 const reserveCap = 1 << 18
 
 // resolveShards picks the effective shard count for this Start and
-// (re)builds the shard layout. Sharding engages only when it cannot
-// change observable behavior:
-//
-//   - no DropRate (drop decisions draw from one shared RNG in send
-//     order);
-//   - a latency source with a positive minimum delay that never draws
-//     from shared state: netem hash-mode shapers qualify by
-//     construction, rng-mode models only via Lookaheader with ok=true;
-//   - at least as many nodes as shards.
-//
-// Registered taps do not clamp: the per-shard observation logs replay
-// the merged single-loop callback stream at every barrier (obs.go).
-// Everything else clamps to a single shard — the same events then run on
-// the same engine they always did.
+// (re)builds the shard layout. Every network condition is a netem
+// profile whose delays are pure functions of (seed, link, sequence), so
+// only two configurations clamp to a single shard: a zero minimum delay
+// (Profile.MinDelay — no lookahead to advance under) and fewer nodes
+// than shards. Registered taps do not clamp: the per-shard observation
+// logs replay the merged single-loop callback stream at every barrier
+// (obs.go).
 func (n *Network) resolveShards() {
 	k := n.opts.Shards
-	la := time.Duration(0)
-	ok := k > 1 && n.opts.DropRate == 0 && len(n.nodes) >= k
-	if ok {
-		if n.shaper != nil {
-			la = n.opts.Netem.MinDelay()
-		} else if lh, isLH := n.opts.Latency.(Lookaheader); isLH {
-			la, ok = lh.ShardLookahead()
-		} else {
-			ok = false
-		}
-		if la <= 0 {
-			ok = false
-		}
-	}
-	if !ok {
+	la := n.opts.Netem.MinDelay()
+	if k <= 1 || len(n.nodes) < k || la <= 0 {
 		k, la = 1, 0
 	}
 	n.lookahead = la

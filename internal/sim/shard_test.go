@@ -71,7 +71,7 @@ func compareFingerprints(t *testing.T, name string, a, b runFingerprint) {
 // TestShardedDeterminism is the headline guarantee of the sharded event
 // loop: every observable — counters, per-type accounting, executed
 // steps, the full per-node delivery-time vector — is bit-identical at
-// ANY shard count, for both the rng-mode const-latency path and the
+// ANY shard count, for both the fixed const-latency profile and the
 // shaped netem path (jitter, loss-free churn), whose hash-based draws
 // are position-independent by construction.
 func TestShardedDeterminism(t *testing.T) {
@@ -120,12 +120,11 @@ func (nopTap) OnSend(time.Duration, proto.NodeID, proto.NodeID, proto.Message)  
 func (nopTap) OnReceive(time.Duration, proto.NodeID, proto.NodeID, proto.Message) {}
 func (nopTap) OnDeliverLocal(time.Duration, proto.NodeID, proto.MsgID, []byte)    {}
 
-// TestShardedClampsToSingleLoop pins the eligibility rules: any
-// configuration whose draws depend on global event order (shared-RNG
-// jitter, drop decisions) must fall back to the single event loop
-// rather than shard unsafely. Registered taps no longer clamp — they
-// replay from the merged observation logs (obs.go) — which the "taps"
-// case pins from the other direction.
+// TestShardedClampsToSingleLoop pins the eligibility rules: only a zero
+// minimum delay or fewer nodes than shards fall back to the single
+// event loop. Registered taps do not clamp — they replay from the
+// merged observation logs (obs.go) — which the "taps" case pins from
+// the other direction.
 func TestShardedClampsToSingleLoop(t *testing.T) {
 	g := shardTestGraph(t)
 
@@ -135,13 +134,11 @@ func TestShardedClampsToSingleLoop(t *testing.T) {
 		prep  func(*Network)
 		wantK int
 	}{
-		{"uniform-latency-shared-rng", Options{Seed: 1, Shards: 4,
-			Latency: UniformLatency{Min: 5 * time.Millisecond, Max: 40 * time.Millisecond}}, nil, 1},
-		{"drop-rate", Options{Seed: 1, Shards: 4,
-			Latency: ConstLatency(50 * time.Millisecond), DropRate: 0.05}, nil, 1},
 		{"taps", Options{Seed: 1, Shards: 4,
 			Latency: ConstLatency(50 * time.Millisecond)},
 			func(n *Network) { n.AddTap(nopTap{}) }, 4},
+		{"zero-min-delay", Options{Seed: 1, Shards: 4,
+			Netem: &netem.Profile{Latency: netem.Uniform{Hi: 40 * time.Millisecond}}}, nil, 1},
 		{"more-shards-than-nodes", Options{Seed: 1, Shards: 500,
 			Latency: ConstLatency(50 * time.Millisecond)}, nil, 1},
 	}

@@ -37,9 +37,8 @@ type SoakConfig struct {
 	// Originators restricts which nodes receive scheduled arrivals
 	// (default: every node). Run can override per trial.
 	Originators []proto.NodeID
-	// Netem, when non-nil, sets the network condition profile;
-	// unimpaired profiles take the rng latency-model path and impaired
-	// ones the shaped path, mirroring the experiment harness.
+	// Netem, when non-nil, sets the network condition profile (nil:
+	// the simulator's constant default, sim.Options.Latency).
 	Netem *netem.Profile
 	// Shards requests single-run event-loop parallelism (clamped by
 	// the network exactly as sim.Options.Shards).
@@ -154,15 +153,7 @@ func NewSoakNet(cfg SoakConfig) *SoakNet {
 		}
 		topo = g
 	}
-	opts := sim.Options{Seed: cfg.Seed, Shards: cfg.Shards}
-	if cfg.Netem != nil {
-		if cfg.Netem.Impaired() {
-			opts.Netem = cfg.Netem
-		} else {
-			opts.Latency = cfg.Netem.Model()
-		}
-	}
-	s.net = sim.NewNetwork(topo, opts)
+	s.net = sim.NewNetwork(topo, sim.Options{Seed: cfg.Seed, Netem: cfg.Netem, Shards: cfg.Shards})
 	k := max(cfg.Shards, 1)
 	s.adm = NewShared(cfg.N)
 	s.adm.Partition(k)
@@ -184,8 +175,7 @@ func (s *SoakNet) Wrappers() []*Wrapper { return s.wrappers }
 // Run executes one soak trial: reset (when reused), schedule the
 // arrivals for seed, drive them through admission into the protocol,
 // and report. originators nil means the config's set (or every node);
-// taps are registered for this run only (note: taps clamp the network
-// to a single shard).
+// taps are registered for this run only.
 func (s *SoakNet) Run(seed uint64, originators []proto.NodeID, taps ...sim.Tap) SoakResult {
 	cfg := s.cfg
 	// Reset unconditionally: a freshly built network still carries
